@@ -163,16 +163,14 @@ def _cmd_eliminate(args) -> int:
     alpha = _alphabet(args)
     t = parse(args.term, alpha)
     system = build_system(args.system, alpha)
-    want_proof = args.emit_proof or bool(args.proof_out)
-    q, script = eliminate(t, system, emit_proof=want_proof)
+    q, script = eliminate(t, system, emit_proof=bool(args.proof_out))
     doc = {"input": render(t), "system": system.name, "result": render(q)}
     if script is not None:
         sj = script_to_json(script, system.name)
         doc["proof"] = sj
         doc["proof_steps"] = len(script.steps)
-        if args.proof_out:
-            with open(args.proof_out, "w") as fh:
-                json.dump(sj, fh, indent=2)
+        with open(args.proof_out, "w") as fh:
+            json.dump(sj, fh, indent=2)
     _emit(args, doc, render(q))
     return 0
 
@@ -322,12 +320,6 @@ def _add_common(ap, suppress: bool) -> None:
         "--emit",
         choices=("text", "json", "dot"),
         **({"default": d} if suppress else {"default": "text"}),
-    )
-    ap.add_argument(
-        "--jobs",
-        type=int,
-        **({"default": d} if suppress else {"default": 1}),
-        help="reserved concurrency hint; the current checkers are single-process",
     )
 
 

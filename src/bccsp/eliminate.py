@@ -2,11 +2,15 @@
 
 Every closed term is provably equal, in each axiom system that carries an
 expansion law, to a term built without parallel composition. The rewriting
-here performs that elimination by structural descent: innermost parallel
-nodes first, one case split per node, then the smaller parallel nodes the
-split leaves behind. With `emit_proof` the same pass records a proof script
-that replays under the chosen system, deriving on the fly whatever case law
-the system does not carry natively.
+here performs that elimination in one bottom-up pass over the term DAG:
+the children of a node are freed first, a parallel node over freed children
+gets one case split, and the smaller parallel nodes the split leaves behind
+are freed in turn. Terms are hash-consed, so the pass is memoised by node
+for the length of one call: a subterm that occurs many times is split once,
+and its proof is built once and reused wherever the subterm recurs. With
+`emit_proof` the same pass records a proof script that replays under the
+chosen system, deriving on the fly whatever case law the system does not
+carry natively.
 
 Each case analysis is tied to the most discriminating system of its family
 and reused by the coarser ones:
@@ -21,6 +25,8 @@ EL1 and ELC2 in place of EL2.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
 
 from .axioms import AxiomSystem, Equation, build_system, canonical_system_name
 from .derivations import derivation_hook
@@ -37,7 +43,6 @@ from .terms import (
     size,
     strip_nil,
     substitute,
-    subterm_at,
     sum_of,
     summands,
 )
@@ -69,22 +74,22 @@ def family_of(system_name: str) -> str:
     return fam
 
 
-def _innermost_par(t: Term, path: tuple = ()):
-    """Path of the leftmost innermost parallel node, None if there is none."""
-    if isinstance(t, Prefix):
-        return _innermost_par(t.body, path + (0,))
-    if isinstance(t, (Par, Sum)):
-        got = _innermost_par(t.left, path + (0,))
-        if got is None:
-            got = _innermost_par(t.right, path + (1,))
-        if got is None and isinstance(t, Par):
-            got = path
-        return got
-    return None
-
-
 def par_free(t: Term) -> bool:
-    return _innermost_par(t) is None
+    """True when t has no parallel composition. The answer is cached on the
+    node, so a subterm shared across the DAG is looked at once."""
+    c = t.cache()
+    got = c.get("par_free")
+    if got is None:
+        if isinstance(t, Par):
+            got = False
+        elif isinstance(t, Prefix):
+            got = par_free(t.body)
+        elif isinstance(t, Sum):
+            got = par_free(t.left) and par_free(t.right)
+        else:
+            got = True
+        c["par_free"] = got
+    return got
 
 
 class _Context:
@@ -110,6 +115,13 @@ class _Context:
         return self._order[action]
 
 
+@lru_cache(maxsize=64)
+def _reference_system(name: str, alphabet) -> AxiomSystem:
+    """The built system whose axiom ids a family's case analyses name, one
+    per (name, alphabet): building a system costs about a millisecond."""
+    return build_system(name, alphabet)
+
+
 def eliminate(term: Term, system, alphabet=None, emit_proof: bool = False):
     """Rewrite a closed term into one without the parallel operator.
 
@@ -128,40 +140,116 @@ def eliminate(term: Term, system, alphabet=None, emit_proof: bool = False):
         raise ValueError("only closed terms can be freed of the parallel operator")
     fam = family_of(sys_.name)
     ref = ("E^c_" if sys_.mode is TransitionMode.CCS_SYNC else "E_") + fam
-    shapes = sys_ if sys_.name == ref else build_system(ref, sys_.alphabet)
+    shapes = sys_ if sys_.name == ref else _reference_system(ref, sys_.alphabet)
     builder = (
         ProofBuilder(sys_, derive=derivation_hook(sys_.name)) if emit_proof else None
     )
     ctx = _Context(sys_, shapes, builder, fam)
-    tr = TermTrace(term, builder)
-    _drive(ctx, tr, None)
+    freed = _drive(ctx, term)
+    result = term if freed is None else freed.trace.term
     if not emit_proof:
-        return tr.term, None
-    idx = tr.proof_index()
+        return result, None
+    idx = None if freed is None else freed.trace.proof_index()
     if idx is None:
         idx = builder.refl(term)
-    return tr.term, builder.script(term, tr.term, idx)
+    return result, builder.script(term, result, idx)
 
 
-def _drive(ctx: _Context, tr: TermTrace, bound):
-    """Eliminate every parallel node under the trace, innermost first. Each
-    node handled must be strictly smaller (0 factors and summands aside) than
-    the node whose case split produced it."""
-    while True:
-        path = _innermost_par(tr.term)
-        if path is None:
-            return
-        node = subterm_at(tr.term, path)
-        measure = size(strip_nil(node))
-        if bound is not None and measure >= bound:
+class _Freed:
+    """The elimination of one node: a trace from the node to a parallel-free
+    term, and the largest measure among the parallel nodes split at the
+    node's own level (not inside the recursion on a split's result), with
+    the node that has it."""
+
+    __slots__ = ("trace", "top", "at")
+
+    def __init__(self, trace: TermTrace, top: int, at):
+        self.trace = trace
+        self.top = top
+        self.at = at
+
+    def check_below(self, bound: int):
+        if self.top >= bound:
             raise AssertionError(
-                f"elimination failed to shrink at {render(node)} (measure {measure}, "
-                f"parent {bound})"
+                f"elimination failed to shrink at {render(self.at)} (measure "
+                f"{self.top}, parent {bound})"
             )
-        sub = TermTrace(node, ctx.builder)
-        _case(ctx, sub)
-        _drive(ctx, sub, measure)
-        tr.splice(path, sub)
+
+
+def _drive(ctx: _Context, t: Term):
+    """Eliminate every parallel node of t in one bottom-up pass over the
+    term DAG, memoised by node: each distinct node is freed once, into one
+    trace, and a node that recurs reuses that trace, spliced in by its proof
+    index. Returns the node's _Freed record, or None if t is already free of
+    parallel composition.
+
+    Each node's elimination is a `_free` generator, suspended on an explicit
+    stack while it waits for the record of another node, so the depth of a
+    term costs heap, not Python call frames."""
+    if par_free(t):
+        return None
+    memo: dict = {}  # node -> _Freed
+    stack = [(t, _free(ctx, t))]
+    active = {t}
+    sent = None
+    while stack:
+        node, gen = stack[-1]
+        try:
+            need = gen.send(sent)
+        except StopIteration as done:
+            stack.pop()
+            active.discard(node)
+            sent = memo[node] = done.value
+            continue
+        if par_free(need):
+            sent = None
+        elif need in memo:
+            sent = memo[need]
+        elif need in active:
+            raise AssertionError(f"elimination of {render(need)} needs itself")
+        else:
+            stack.append((need, _free(ctx, need)))
+            active.add(need)
+            sent = None
+    return memo[t]
+
+
+def _free(ctx: _Context, t: Term):
+    """Free the children first, then split a parallel node whose children
+    are free, and free what the split leaves behind. A generator: it yields
+    each node whose elimination it needs and is sent that node's record
+    (None for a node free of parallel composition); it returns t's record.
+    Every parallel node a split produces must be strictly smaller (0
+    factors and summands aside) than the node split; the check runs on
+    every use of a memoised record."""
+    tr = TermTrace(t, ctx.builder)
+    top, at = -1, None
+    subs = []
+    for kid in (t.body,) if isinstance(t, Prefix) else (t.left, t.right):
+        sub = yield kid
+        subs.append(sub)
+        if sub is not None and sub.top > top:
+            top, at = sub.top, sub.at
+    tr.splice_children([None if sub is None else sub.trace for sub in subs])
+    if isinstance(t, Par):
+        node = tr.term
+        if node is not t:
+            # the children changed: the parallel node over the freed
+            # children is a DAG node of its own, shared with its other uses
+            sub = yield node
+            tr.splice((), sub.trace)
+            if sub.top > top:
+                top, at = sub.top, sub.at
+        else:
+            measure = size(strip_nil(node))
+            _case(ctx, tr)
+            sub = yield tr.term
+            if sub is not None:
+                sub.check_below(measure)
+                tr.splice((), sub.trace)
+            if measure > top:
+                top, at = measure, node
+    return _Freed(tr, top, at)
 
 
 def _case(ctx: _Context, tr: TermTrace):

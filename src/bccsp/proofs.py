@@ -29,7 +29,7 @@ from .terms import (
     Prefix,
     Sum,
     Term,
-    parse,
+    parse_shared,
     render,
     replace_at,
     substitute,
@@ -421,6 +421,10 @@ def _plan_to_canon(t: Term) -> _AcPlan:
 # Script construction
 
 
+def _children(t: Term) -> tuple:
+    return (t.body,) if isinstance(t, Prefix) else (t.left, t.right)
+
+
 class ProofBuilder:
     """Accumulates proof steps against a fixed axiom system.
 
@@ -529,6 +533,18 @@ class ProofBuilder:
             else:
                 raise ProofError("embed: path walks through a leaf")
         return cur
+
+    def cong(self, host: Term, idxs) -> int:
+        """From proofs of l_i = r_i with l_i the children of host (None for
+        a child kept as it is), conclude host = host with every l_i replaced
+        by r_i, in one congruence step."""
+        kids = _children(host)
+        of = tuple(self.refl(k) if i is None else i for k, i in zip(kids, idxs, strict=True))
+        if tuple(self.conclusions[i][0] for i in of) != kids:
+            raise ProofError("cong: an equation's left side is not the child")
+        if isinstance(host, Prefix):
+            return self._add(Step("cong_prefix", of=of, action=host.action))
+        return self._add(Step("cong_sum" if isinstance(host, Sum) else "cong_par", of=of))
 
     def rewrite(self, host: Term, path: tuple, axiom_id: str, sigma: dict, direction: str = "lr") -> tuple:
         """Apply one axiom instance at a position. Returns (new term, index of
@@ -661,6 +677,24 @@ class TermTrace:
                 return
         self.term = replace_at(self.term, tuple(path), other.term)
 
+    def splice_children(self, subs):
+        """Replace each child of the root, known to be the start of the
+        matching trace in subs (None for a child kept as it is), by that
+        trace's end, absorbing the traces' proofs in one congruence step."""
+        t = self.term
+        kids = _children(t)
+        new = []
+        for k, sub in zip(kids, subs, strict=True):
+            if sub is not None and sub.start is not k:
+                raise ProofError("splice target mismatch")
+            new.append(k if sub is None else sub.term)
+        if new == list(kids):
+            return
+        if self.builder is not None:
+            idx = self.builder.cong(t, [None if s is None else s.proof_index() for s in subs])
+            self._chain.append(idx)
+        self.term = Prefix(t.action, *new) if isinstance(t, Prefix) else type(t)(*new)
+
     def proof_index(self):
         if self.builder is None or not self._chain:
             return None
@@ -690,16 +724,16 @@ def _step_to_json(step: Step) -> dict:
     return d
 
 
-def _step_from_json(d: dict, alphabet) -> Step:
+def _step_from_json(d: dict, term) -> Step:
     return Step(
         rule=d["rule"],
-        term=parse(d["term"], alphabet) if "term" in d else None,
+        term=term(d["term"]) if "term" in d else None,
         of=tuple(d.get("of", ())),
-        subst=tuple(sorted((n, parse(s, alphabet)) for n, s in d.get("subst", {}).items())),
+        subst=tuple(sorted((n, term(s)) for n, s in d.get("subst", {}).items())),
         action=d.get("action"),
         axiom_id=d.get("axiom"),
         direction=d.get("dir", "lr"),
-        host=parse(d["host"], alphabet) if "host" in d else None,
+        host=term(d["host"]) if "host" in d else None,
         path=tuple(d["path"]) if "path" in d else None,
     )
 
@@ -715,8 +749,16 @@ def script_to_json(script: ProofScript, system_name: str | None = None) -> dict:
 
 
 def script_from_json(d: dict, alphabet) -> ProofScript:
+    """Decode a script. Each distinct term text, and each distinct text
+    inside a parenthesised group, is parsed once per script: the hosts of
+    consecutive steps share most of their groups."""
+    memo: dict = {}
+
+    def term(text: str) -> Term:
+        return parse_shared(text, alphabet, memo)
+
     return ProofScript(
-        lhs=parse(d["goal"]["lhs"], alphabet),
-        rhs=parse(d["goal"]["rhs"], alphabet),
-        steps=tuple(_step_from_json(s, alphabet) for s in d["steps"]),
+        lhs=term(d["goal"]["lhs"]),
+        rhs=term(d["goal"]["rhs"]),
+        steps=tuple(_step_from_json(s, term) for s in d["steps"]),
     )

@@ -8,6 +8,7 @@ text, transition sets) are cached on the node itself and die with it.
 
 from __future__ import annotations
 
+import re
 import weakref
 from dataclasses import dataclass
 
@@ -22,6 +23,7 @@ __all__ = [
     "make_alphabet",
     "ParseError",
     "parse",
+    "parse_shared",
     "render",
     "size",
     "depth",
@@ -325,6 +327,67 @@ def parse(text: str, alphabet: Alphabet) -> Term:
     p.skip_ws()
     if p.pos != len(text):
         p.error("trailing input")
+    return t
+
+
+_PAREN = re.compile(r"[()]")
+
+
+class _SharingParser(_Parser):
+    """A parser that looks up the text inside each balanced parenthesised
+    group in a memo before parsing it, and records what it parses there.
+    Parsing a group does not depend on the text around it, so a memo hit
+    yields the very Term a fresh parse would."""
+
+    def __init__(self, text: str, alphabet: Alphabet, memo: dict):
+        super().__init__(text, alphabet)
+        self.memo = memo
+        self._close = None  # position of each "(" -> position of its ")"
+
+    def _closing(self) -> dict:
+        if self._close is None:
+            close, open_ = {}, []
+            for m in _PAREN.finditer(self.text):
+                if m.group() == "(":
+                    open_.append(m.start())
+                elif open_:
+                    close[open_.pop()] = m.start()
+            self._close = close
+        return self._close
+
+    def parse_item(self) -> Term:
+        self.skip_ws()
+        if self.peek() != "(":
+            return super().parse_item()
+        start = self.pos
+        end = self._closing().get(start)
+        if end is None:
+            return super().parse_item()
+        inner = self.text[start + 1 : end]
+        got = self.memo.get(inner)
+        if got is not None:
+            self.pos = end + 1
+            return got
+        t = super().parse_item()
+        if self.pos == end + 1:
+            self.memo[inner] = t
+        return t
+
+
+def parse_shared(text: str, alphabet: Alphabet, memo: dict) -> Term:
+    """parse(text, alphabet), reusing and extending a memo from text to Term
+    that covers whole texts and the text inside every parenthesised group.
+    A memo must only be shared between calls with the same alphabet."""
+    got = memo.get(text)
+    if got is not None:
+        return got
+    p = _SharingParser(text, alphabet, memo)
+    p.skip_ws()
+    t = p.parse_sum()
+    p.skip_ws()
+    if p.pos != len(text):
+        p.error("trailing input")
+    memo[text] = t
     return t
 
 

@@ -1,3 +1,5 @@
+import importlib
+
 import pytest
 
 from bccsp.axioms import build_system
@@ -5,10 +7,13 @@ from bccsp.eliminate import eliminate, family_of, par_free
 from bccsp.equivalences import equivalent
 from bccsp.proofs import check_proof
 from bccsp.semantics import TransitionMode
-from bccsp.terms import Var, make_alphabet, parse, render
+from bccsp.terms import Prefix, Sum, Var, make_alphabet, parse, render
 
 A = make_alphabet(("a", "b"))
 S1 = make_alphabet(("a",), sync=True)
+
+# the package exports the function under the module's name
+eliminate_module = importlib.import_module("bccsp.eliminate")
 
 ELIMINATING = ("E_T", "E_CT", "E_F", "E_R", "E_FT", "E_RT", "E_S", "E_CS", "E_RS")
 
@@ -117,3 +122,102 @@ def test_elimination_is_stable_on_par_free_input():
     got, script = eliminate(t, "E_RS", A, emit_proof=True)
     assert got is t
     assert check_proof(script, build_system("E_RS", A))
+
+
+def count_case_splits(monkeypatch):
+    """Wrap the case split so every call is recorded with its node."""
+    seen = []
+    real = eliminate_module._case
+
+    def counting(ctx, tr):
+        seen.append(tr.term)
+        return real(ctx, tr)
+
+    monkeypatch.setattr(eliminate_module, "_case", counting)
+    return seen
+
+
+@pytest.mark.parametrize("name", ("E_RS", "E_CS", "E_RT", "E_CT", "E_S", "E_T"))
+@pytest.mark.parametrize("emit_proof", (False, True))
+def test_a_recurring_parallel_node_is_split_once(monkeypatch, name, emit_proof):
+    abc = make_alphabet(("a", "b", "c"))
+    sys_ = build_system(name, abc)
+    seen = count_case_splits(monkeypatch)
+    alone, _ = eliminate(parse("b || c", abc), sys_, emit_proof=emit_proof)
+    splits_alone = len(seen)
+    seen.clear()
+    t = parse("a.(b || c) + (b || c)", abc)
+    got, script = eliminate(t, sys_, emit_proof=emit_proof)
+    assert len(seen) == splits_alone > 0
+    assert got is Sum(Prefix("a", alone), alone)
+    if emit_proof:
+        assert check_proof(script, sys_)
+
+
+@pytest.mark.parametrize(
+    "name,sync,text",
+    [
+        (
+            "E^c_S",
+            True,
+            "a.((a'.0 + a'.0) || a.tau.0) + ((a'.0 + a'.0) || a.tau.0) || a'.a'.0",
+        ),
+        ("E_CT", False, "b.(b.0 + b.0) || (a.b.0 + a.(b.0 + a.0)) || a.b.0"),
+    ],
+)
+def test_three_component_terms_with_repeated_heads(name, sync, text):
+    alpha = S1 if sync else A
+    sys_ = build_system(name, alpha)
+    t = parse(text, alpha)
+    got, script = eliminate(t, sys_, emit_proof=True)
+    assert par_free(got)
+    assert script.lhs is t and script.rhs is got
+    assert check_proof(script, sys_)
+
+
+def test_a_split_that_does_not_shrink_is_caught(monkeypatch):
+    # with every measure equal, the first parallel node a split leaves behind
+    # is no smaller than the node split
+    monkeypatch.setattr(eliminate_module, "size", lambda t: 1)
+    with pytest.raises(AssertionError, match="failed to shrink"):
+        eliminate(parse("a.b || b", A), "E_RS", A)
+
+
+def test_a_split_that_leaves_its_node_behind_is_caught(monkeypatch):
+    monkeypatch.setattr(eliminate_module, "_case", lambda ctx, tr: None)
+    with pytest.raises(AssertionError, match="needs itself"):
+        eliminate(parse("a || b", A), "E_RS", A)
+
+
+def test_deep_terms_do_not_exhaust_the_call_stack():
+    t = parse("a." * 800 + "(a || b)", A)
+    sys_ = build_system("E_RS", A)
+    got, script = eliminate(t, sys_, emit_proof=True)
+    assert par_free(got)
+    assert check_proof(script, sys_)
+
+
+def test_par_free_is_cached_on_shared_nodes():
+    shared = parse("a || b", A)
+    t = parse("a.(a || b) + b.(a || b)", A)
+    assert not par_free(t)
+    assert shared.cache()["par_free"] is False
+    assert par_free(parse("a.(a.b + b)", A))
+
+
+def test_the_reference_system_is_built_once_per_alphabet(monkeypatch):
+    built = []
+    real = eliminate_module.build_system
+
+    def counting(name, alphabet):
+        built.append((name, alphabet))
+        return real(name, alphabet)
+
+    monkeypatch.setattr(eliminate_module, "build_system", counting)
+    eliminate_module._reference_system.cache_clear()
+    for name, alpha in (("E_S", A), ("E_T", A), ("E^c_F", S1)):
+        sys_ = build_system(name, alpha)
+        for _ in range(3):
+            got, script = eliminate(parse("a || a.a", alpha), sys_, emit_proof=True)
+            assert check_proof(script, sys_)
+    assert built == [("E_CS", A), ("E_CT", A), ("E^c_RT", S1)]

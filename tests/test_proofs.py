@@ -1,4 +1,6 @@
 import json
+from importlib import resources
+from pathlib import Path
 
 import pytest
 
@@ -18,7 +20,7 @@ from bccsp.proofs import (
     script_from_json,
     script_to_json,
 )
-from bccsp.terms import Sum, Var, make_alphabet, parse, render
+from bccsp.terms import Par, ParseError, Prefix, Sum, Var, make_alphabet, parse, render
 
 A = make_alphabet(("a", "b"))
 E0 = build_system("E0", A)
@@ -165,6 +167,36 @@ def test_trace_with_builder_accumulates_a_proof():
     assert check_proof(script, E0)
 
 
+@pytest.mark.parametrize("emit", (False, True))
+def test_splice_children_rewrites_both_sides_in_one_step(emit):
+    host = parse("(b + b) || a.(a + 0)", A)
+    b = ProofBuilder(E0) if emit else None
+    left, right = TermTrace(host.left, b), TermTrace(host.right, b)
+    left.ac_to(pb)
+    right.ac_to(parse("a.a", A))
+    tr = TermTrace(host, b)
+    tr.splice_children([left, right])
+    assert tr.term is parse("b || a.a", A)
+    tr.splice_children([None, TermTrace(tr.term.right, b)])
+    assert tr.term is parse("b || a.a", A)
+    with pytest.raises(ProofError):
+        tr.splice_children([None, left])
+    if emit:
+        script = b.script(host, tr.term, tr.proof_index())
+        assert check_proof(script, E0)
+        assert sum(s.rule == "cong_par" for s in script.steps) == 1
+
+
+def test_cong_checks_the_children():
+    host = parse("a.(b + 0)", A)
+    b = ProofBuilder(E0)
+    _, idx = b.rewrite(host.body, (), "A0", {"x": pb})
+    step = b.cong(host, [idx])
+    assert b.conclusion(step) == (host, parse("a.b", A))
+    with pytest.raises(ProofError):
+        b.cong(parse("a.b", A), [idx])
+
+
 def test_script_json_round_trip():
     host = parse("b.(a + 0)", A)
     b = ProofBuilder(E0)
@@ -189,3 +221,73 @@ def test_step_json_keeps_context_fields():
     assert sd["path"] == [0]
     assert sd["subst"] == {"x": "a.0"}
     assert sd["axiom"] == "A0" and sd["dir"] == "lr"
+
+
+DATA_DIR = Path(str(resources.files("bccsp").joinpath("data")))
+
+
+def step_texts(d: dict) -> list:
+    """(field, text) for every term text in one step's JSON."""
+    out = [("term", d["term"])] if "term" in d else []
+    out += [(f"subst {n}", t) for n, t in sorted(d.get("subst", {}).items())]
+    if "host" in d:
+        out.append(("host", d["host"]))
+    return out
+
+
+def step_terms(step: Step) -> list:
+    out = [("term", step.term)] if step.term is not None else []
+    out += [(f"subst {n}", t) for n, t in step.subst]
+    if step.host is not None:
+        out.append(("host", step.host))
+    return out
+
+
+@pytest.mark.parametrize("path", sorted(DATA_DIR.glob("derived_*.json")), ids=lambda p: p.stem)
+def test_shipped_scripts_decode_as_text_by_text_parsing(path):
+    payload = json.loads(path.read_text())
+    alpha = make_alphabet(tuple(payload["alphabet"]))
+    for doc in payload["scripts"]:
+        back = script_from_json(doc, alpha)
+        assert back.lhs is parse(doc["goal"]["lhs"], alpha)
+        assert back.rhs is parse(doc["goal"]["rhs"], alpha)
+        assert len(back.steps) == len(doc["steps"])
+        for d, step in zip(doc["steps"], back.steps):
+            want = [(f, parse(t, alpha)) for f, t in step_texts(d)]
+            got = step_terms(step)
+            assert [f for f, _ in got] == [f for f, _ in want]
+            assert all(g is w for (_, g), (_, w) in zip(got, want)), doc["id"]
+
+
+def refl_script(*texts) -> dict:
+    return {
+        "goal": {"lhs": "a.(a + b)", "rhs": "a.(a + b)"},
+        "steps": [{"rule": "refl", "term": t} for t in texts],
+    }
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        "b.(a +) + a.(a +)",
+        "a.(a + b) + b.(a + b",
+        "a.(a + b))",
+        "b.((a + b) || (a |))",
+        "(a + b) c",
+    ],
+)
+def test_malformed_groups_raise_as_a_fresh_parse_does(bad):
+    with pytest.raises(ParseError) as fresh:
+        parse(bad, A)
+    with pytest.raises(ParseError) as decoded:
+        # the earlier texts put their groups in the memo first
+        script_from_json(refl_script("b.(a + b)", "(a + b) || b", bad), A)
+    assert str(decoded.value) == str(fresh.value)
+
+
+def test_a_group_met_again_decodes_to_the_same_term():
+    back = script_from_json(refl_script("b.( a + b )", "a + b", "(a + b) || a.(a + b)"), A)
+    ab = parse("a + b", A)
+    assert back.steps[0].term is Prefix("b", ab)
+    assert back.steps[1].term is ab
+    assert back.steps[2].term is Par(ab, Prefix("a", ab))

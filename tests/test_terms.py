@@ -1,5 +1,6 @@
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 from bccsp.terms import (
     Nil,
@@ -15,6 +16,7 @@ from bccsp.terms import (
     make_alphabet,
     norm,
     parse,
+    parse_shared,
     render,
     replace_at,
     size,
@@ -67,6 +69,13 @@ def test_parse_rejects_trailing_garbage():
 @given(open_terms)
 def test_render_parse_round_trip(t):
     assert parse(render(t), A) is t
+
+
+@given(st.lists(open_terms, min_size=1, max_size=4))
+def test_parse_shared_agrees_with_parse_under_one_memo(ts):
+    memo: dict = {}
+    for t in ts + [Par(t, Prefix("a", t)) for t in ts]:
+        assert parse_shared(render(t), A, memo) is t
 
 
 def test_size_counts_every_operator():
