@@ -225,11 +225,11 @@ def _cmd_prove_check(args) -> int:
     alpha = _alphabet(args)
     with open(args.script) as fh:
         data = json.load(fh)
-    name = args.system or data.get("system")
-    if not name:
-        raise ValueError("no axiom system: pass --system or embed one in the script")
-    system = build_system(name, alpha)
     script = script_from_json(data, alpha)
+    name = args.system or data.get("system")
+    if not isinstance(name, str) or not name:
+        raise ValueError("no axiom system: pass --system or embed its name in the script")
+    system = build_system(name, alpha)
     res = check_proof(script, system)
     ok = bool(res)
     doc = {"system": system.name, "accepted": ok, "steps": len(script.steps)}

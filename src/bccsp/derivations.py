@@ -10,7 +10,10 @@ readiness system (the latter two by induction on the width of the schema).
 `derivation_hook` packages these as a ProofBuilder fallback, so rewriting
 with, say, CSP1 inside the plain simulation system silently expands into the
 SP1 derivation. `fixture_scripts` instantiates every family over a concrete
-alphabet; the shipped data files are exactly its output.
+alphabet; the shipped data files are exactly its output. After a change to
+how proofs are built, regenerate them from the root of a checkout with
+
+    PYTHONPATH=src python -m bccsp.derivations
 """
 
 from __future__ import annotations

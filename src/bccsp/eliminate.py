@@ -237,7 +237,7 @@ def _free(ctx: _Context, t: Term):
             # the children changed: the parallel node over the freed
             # children is a DAG node of its own, shared with its other uses
             sub = yield node
-            tr.splice((), sub.trace)
+            tr.extend(sub.trace)
             if sub.top > top:
                 top, at = sub.top, sub.at
         else:
@@ -246,7 +246,7 @@ def _free(ctx: _Context, t: Term):
             sub = yield tr.term
             if sub is not None:
                 sub.check_below(measure)
-                tr.splice((), sub.trace)
+                tr.extend(sub.trace)
             if measure > top:
                 top, at = measure, node
     return _Freed(tr, top, at)
@@ -263,13 +263,13 @@ def _case(ctx: _Context, tr: TermTrace):
     if not qs:
         left = sum_of(ps)
         tr.ac_to(Par(left, Nil()))
-        tr.rewrite_axiom((), ctx.eq("P0"), {"x": left})
+        tr.rewrite_axiom(ctx.eq("P0"), {"x": left})
         return
     if not ps:
         right = sum_of(qs)
         tr.ac_to(Par(Nil(), right))
-        tr.rewrite_axiom((), ctx.eq("P1"), {"x": Nil(), "y": right})
-        tr.rewrite_axiom((), ctx.eq("P0"), {"x": right})
+        tr.rewrite_axiom(ctx.eq("P1"), {"x": Nil(), "y": right})
+        tr.rewrite_axiom(ctx.eq("P0"), {"x": right})
         return
     _CASES[ctx.family](ctx, tr, ps, qs)
 
@@ -277,7 +277,7 @@ def _case(ctx: _Context, tr: TermTrace):
 def _flip(ctx: _Context, tr: TermTrace, ps: list, qs: list) -> tuple:
     left, right = sum_of(ps), sum_of(qs)
     tr.ac_to(Par(left, right))
-    tr.rewrite_axiom((), ctx.eq("P1"), {"x": left, "y": right})
+    tr.rewrite_axiom(ctx.eq("P1"), {"x": left, "y": right})
     return qs, ps
 
 
@@ -301,7 +301,7 @@ def _row_id(heads) -> str:
 def _apply(ctx: _Context, tr: TermTrace, axiom_id: str, sigma: dict):
     eq = ctx.eq(axiom_id)
     tr.ac_to(substitute(eq.lhs, sigma))
-    tr.rewrite_axiom((), eq, sigma)
+    tr.rewrite_axiom(eq, sigma)
 
 
 def _distinct_row(ctx: _Context, ss: list, stem: str) -> tuple:

@@ -12,10 +12,16 @@ usual cut through the congruence rules into one checkable step.
 is the stated goal, both sides syntactically identical.
 
 `ProofBuilder` grows scripts programmatically. Its `ac` method proves any
-two terms equal that have the same normal form under commutativity,
-associativity, idempotence and the 0 unit law of choice, by rewriting both
-sides to that normal form and replaying the second half backwards. This is
-the workhorse gluing the shape of a term to the shape an axiom wants.
+two terms equal that have the same normal form `canon` under commutativity,
+associativity, idempotence and the 0 unit law of choice (A0-A3), by proving
+each side equal to that normal form and chaining the first proof with the
+reverse of the second. The proof of t = canon(t) follows t's structure:
+one congruence step over the children's proofs, and at a sum a merge of
+the two normalised sides that inserts the right side's summands into the
+left one at a time, using root instances of A0-A3 and congruence only. It
+is memoised per node for the builder's lifetime, so a subterm that recurs
+is normalised once. This is the workhorse gluing the shape of a term to the
+shape an axiom wants.
 """
 
 from __future__ import annotations
@@ -230,6 +236,12 @@ def _flat_leaves(t: Term) -> list:
     return out
 
 
+def _summand_key(t: Term) -> str:
+    """The order in which a normal form lists its summands; `canon` and the
+    merge in `ProofBuilder` both sort by it."""
+    return render(t)
+
+
 def canon(t: Term) -> Term:
     """Normal form modulo A0, A1, A2, A3: sums are flattened, the summands
     normalised, 0 summands dropped, duplicates removed, and the rest sorted
@@ -245,7 +257,7 @@ def canon(t: Term) -> Term:
     elif isinstance(t, Sum):
         leaves = [canon(u) for u in _flat_leaves(t)]
         keep = []
-        for u in sorted((u for u in leaves if not _is_nil(u)), key=render):
+        for u in sorted((u for u in leaves if not _is_nil(u)), key=_summand_key):
             if not keep or keep[-1] is not u:
                 keep.append(u)
         if not keep:
@@ -258,163 +270,6 @@ def canon(t: Term) -> Term:
         out = t
     c["canon"] = out
     return out
-
-
-def _axiom_shapes():
-    from .terms import Var
-
-    x, y, z = Var("x"), Var("y"), Var("z")
-    return {
-        "A0": (Sum(x, Nil()), x),
-        "A1": (Sum(x, y), Sum(y, x)),
-        "A2": (Sum(Sum(x, y), z), Sum(x, Sum(y, z))),
-        "A3": (Sum(x, x), x),
-    }
-
-
-_A_SHAPES = _axiom_shapes()
-
-
-class _AcPlan:
-    """A record of A0-A3 rewrites driving a term to its canon."""
-
-    def __init__(self, t: Term):
-        self.start = t
-        self.term = t
-        self.ops = []  # (axiom id, subst pairs, path, direction)
-
-    def apply(self, axid, sigma: dict, path: tuple, direction: str):
-        lhs, rhs = _A_SHAPES[axid]
-        src, dst = substitute(lhs, sigma), substitute(rhs, sigma)
-        if direction == "rl":
-            src, dst = dst, src
-        at = subterm_at(self.term, path)
-        if at is not src:
-            raise AssertionError(
-                f"normalisation bug: {axid} {direction} expects {render(src)} "
-                f"at {list(path)}, found {render(at)}"
-            )
-        self.ops.append((axid, tuple(sorted(sigma.items())), path, direction))
-        self.term = replace_at(self.term, path, dst)
-
-
-def _comb_leaves(t: Term, base: tuple) -> list:
-    """Paths and terms of the summand leaves of a left-associated sum."""
-    node = subterm_at(t, base)
-    if not isinstance(node, Sum):
-        return [(base, node)]
-    rights = []
-    p = base
-    while isinstance(node, Sum):
-        rights.append((p + (1,), node.right))
-        p = p + (0,)
-        node = subterm_at(t, p)
-    rights.append((p, node))
-    return rights[::-1]
-
-
-def _plan_sum(plan: _AcPlan, base: tuple):
-    # Left-comb the + spine: while some spine node has a Sum right child,
-    # rotate it left with A2 applied right to left.
-    while True:
-        target = None
-        stack = [base]
-        while stack:
-            p = stack.pop()
-            node = subterm_at(plan.term, p)
-            if not isinstance(node, Sum):
-                continue
-            if isinstance(node.right, Sum):
-                target = p
-                break
-            stack.append(p + (0,))
-        if target is None:
-            break
-        node = subterm_at(plan.term, target)
-        plan.apply(
-            "A2",
-            {"x": node.left, "y": node.right.left, "z": node.right.right},
-            target,
-            "rl",
-        )
-
-    # Normalise the leaves in place; the comb's shape is stable under this.
-    for lp, _leaf in _comb_leaves(plan.term, base):
-        _plan_at(plan, lp)
-
-    def key(u):
-        return (_is_nil(u), render(u))
-
-    # Bubble the leaves into sorted order with A1, shuttling via A2.
-    while True:
-        leaves = _comb_leaves(plan.term, base)
-        n = len(leaves)
-        swapped = False
-        for i in range(n - 1):
-            if key(leaves[i][1]) > key(leaves[i + 1][1]):
-                s_i, s_j = leaves[i][1], leaves[i + 1][1]
-                if i == 0:
-                    p0 = base + (0,) * (n - 2)
-                    plan.apply("A1", {"x": s_i, "y": s_j}, p0, "lr")
-                else:
-                    p = base + (0,) * (n - 2 - i)
-                    c = subterm_at(plan.term, p + (0, 0))
-                    plan.apply("A2", {"x": c, "y": s_i, "z": s_j}, p, "lr")
-                    plan.apply("A1", {"x": s_i, "y": s_j}, p + (1,), "lr")
-                    plan.apply("A2", {"x": c, "y": s_j, "z": s_i}, p, "rl")
-                swapped = True
-                break
-        if not swapped:
-            break
-
-    # Merge adjacent duplicates with A3.
-    while True:
-        leaves = _comb_leaves(plan.term, base)
-        n = len(leaves)
-        hit = None
-        for i in range(n - 1):
-            if leaves[i][1] is leaves[i + 1][1]:
-                hit = i
-                break
-        if hit is None:
-            break
-        s = leaves[hit][1]
-        if hit == 0:
-            plan.apply("A3", {"x": s}, base + (0,) * (n - 2), "lr")
-        else:
-            p = base + (0,) * (n - 2 - hit)
-            c = subterm_at(plan.term, p + (0, 0))
-            plan.apply("A2", {"x": c, "y": s, "z": s}, p, "lr")
-            plan.apply("A3", {"x": s}, p + (1,), "lr")
-
-    # Drop trailing 0 summands with A0.
-    while True:
-        node = subterm_at(plan.term, base)
-        if not isinstance(node, Sum) or not _is_nil(node.right):
-            break
-        plan.apply("A0", {"x": node.left}, base, "lr")
-
-
-def _plan_at(plan: _AcPlan, base: tuple):
-    node = subterm_at(plan.term, base)
-    if isinstance(node, Prefix):
-        _plan_at(plan, base + (0,))
-    elif isinstance(node, Par):
-        _plan_at(plan, base + (0,))
-        _plan_at(plan, base + (1,))
-    elif isinstance(node, Sum):
-        _plan_sum(plan, base)
-
-
-def _plan_to_canon(t: Term) -> _AcPlan:
-    plan = _AcPlan(t)
-    _plan_at(plan, ())
-    want = canon(t)
-    if plan.term is not want:
-        raise AssertionError(
-            f"normalisation bug: planned {render(plan.term)}, canon is {render(want)}"
-        )
-    return plan
 
 
 # ---------------------------------------------------------------------------
@@ -443,6 +298,7 @@ class ProofBuilder:
         self._memo: dict = {}
         self.derive = derive
         self._derived: dict = {}
+        self._canon: dict = {}  # node -> index proving node = canon(node)
 
     def _add(self, step: Step) -> int:
         got = self._memo.get(step)
@@ -572,39 +428,116 @@ class ProofBuilder:
         return self.conclusions[idx2][1], idx2
 
     def ac(self, t: Term, u: Term) -> int:
-        """Prove t = u using only A0-A3, at any positions."""
+        """Prove t = u using only A0-A3, at any positions: t = canon(t) =
+        canon(u) = u."""
         if t is u:
             return self.refl(t)
         if canon(t) is not canon(u):
             raise AcMismatch(f"{render(t)} and {render(u)} differ beyond the choice laws")
+        up = self._to_canon(u)
+        return self._join([self._to_canon(t), None if up is None else self.sym(up)])
+
+    def _join(self, idxs):
+        """trans over the proofs given, None standing for a trivial one;
+        None when every one is trivial."""
+        idxs = [i for i in idxs if i is not None]
+        return self.trans(idxs) if idxs else None
+
+    def _to_canon(self, t: Term):
+        """Index of a step proving t = canon(t), or None when t is canon(t):
+        one congruence step over the children's proofs, then, at a sum, the
+        merge of its two normalised sides. Memoised per node."""
+        if canon(t) is t:
+            return None
+        if t in self._canon:
+            return self._canon[t]
+        subs = list(map(self._to_canon, _children(t)))  # no comprehension frame per level
+        chain = [self.cong(t, subs)] if any(i is not None for i in subs) else []
+        if isinstance(t, Sum):
+            chain += self._merge(canon(t.left), canon(t.right))
+        idx = self._canon[t] = self._join(chain)
+        return idx
+
+    def _merge(self, left: Term, right: Term) -> list:
+        """A chain of steps proving left + right = canon(left + right) for
+        normal forms left and right, empty when left + right is one already:
+        the summands of right are inserted into left one at a time, the
+        first one first."""
+        if isinstance(right, Nil):
+            return [self.axiom("A0", {"x": left})]
+        if isinstance(left, Nil):
+            return [self.axiom("A1", {"x": left, "y": right}), self.axiom("A0", {"x": right})]
+        later = []
+        while isinstance(right, Sum):
+            later.append(right.right)
+            right = right.left
+        chain = self._insert(left, right)
+        for leaf in reversed(later):
+            # left + (right + leaf) = (left + right) + leaf, normalise the
+            # inner sum, then insert leaf into it
+            inner, idx = Sum(left, right), self._join(chain)
+            chain = [self.axiom("A2", {"x": left, "y": right, "z": leaf}, "rl")]
+            if idx is not None:
+                chain.append(self.cong(Sum(inner, leaf), [idx, None]))
+                inner = self.conclusions[idx][1]
+            chain += self._insert(inner, leaf)
+            right = Sum(right, leaf)
+        return chain
+
+    def _insert(self, comb: Term, leaf: Term) -> list:
+        """A chain of steps proving comb + leaf = canon(comb + leaf) for a
+        normal form comb other than 0 and a summand leaf of a normal form,
+        empty when comb + leaf is a normal form already. Walks down the comb
+        past every summand ordered after leaf, moving leaf below each with
+        A2, A1 and A2 backwards, and at the bottom drops leaf as a duplicate
+        (A3), swaps it with a single summand (A1) or leaves it in place."""
+        key = _summand_key(leaf)
+        passed = []  # (summand, chain proving (rest + summand) + leaf = (rest + leaf) + summand)
+        while isinstance(comb, Sum) and key < _summand_key(comb.right):
+            rest, last = comb.left, comb.right
+            swap = [
+                self.axiom("A2", {"x": rest, "y": last, "z": leaf}),
+                self.cong(Sum(rest, Sum(last, leaf)), [None, self.axiom("A1", {"x": last, "y": leaf})]),
+                self.axiom("A2", {"x": rest, "y": leaf, "z": last}, "rl"),
+            ]
+            passed.append((last, swap))
+            comb = rest
         chain = []
-        cur = t
-        for axid, pairs, path, direction in _plan_to_canon(t).ops:
-            cur, idx = self.rewrite(cur, path, axid, dict(pairs), direction)
-            chain.append(idx)
-        back = _plan_to_canon(u).ops
-        for axid, pairs, path, direction in reversed(back):
-            flipped = "rl" if direction == "lr" else "lr"
-            cur, idx = self.rewrite(cur, path, axid, dict(pairs), flipped)
-            chain.append(idx)
-        if cur is not u:
-            raise AssertionError("ac replay did not land on the target")
-        if not chain:
-            return self.refl(t)
-        return self.trans(chain)
+        if isinstance(comb, Sum):
+            if comb.right is leaf:
+                rest = comb.left
+                chain = [
+                    self.axiom("A2", {"x": rest, "y": leaf, "z": leaf}),
+                    self.cong(Sum(rest, Sum(leaf, leaf)), [None, self.axiom("A3", {"x": leaf})]),
+                ]
+        elif comb is leaf:
+            chain = [self.axiom("A3", {"x": leaf})]
+        elif key < _summand_key(comb):
+            chain = [self.axiom("A1", {"x": comb, "y": leaf})]
+        for last, swap in reversed(passed):
+            idx = self._join(chain)
+            chain = swap if idx is None else swap + [self.cong(Sum(Sum(comb, leaf), last), [idx, None])]
+            comb = Sum(comb, last)
+        return chain
 
     def script(self, lhs: Term, rhs: Term, final_idx: int) -> ProofScript:
+        """The steps up to final_idx, which must prove lhs = rhs. Later steps
+        are left out: check_proof judges the last step, and premises only
+        point backwards."""
         l, r = self.conclusions[final_idx]
         if l is not lhs or r is not rhs:
             raise ProofError("script goal does not match the final conclusion")
-        return ProofScript(lhs, rhs, tuple(self.steps))
+        return ProofScript(lhs, rhs, tuple(self.steps[: final_idx + 1]))
 
 
 class TermTrace:
-    """A term being rewritten, with an optional running proof that the
-    original equals the current form. With no builder attached the same
-    rewrite API just applies the rewrites, which keeps one code path for
-    plain and proof-emitting callers."""
+    """A term being rewritten at its root, with an optional running proof
+    that the original equals the current form. With no builder attached the
+    same API just applies the rewrites, which keeps one code path for plain
+    and proof-emitting callers: `rewrite_axiom` applies an equation instance
+    at the root, `ac_to` moves to a term equal under the choice laws,
+    `splice_children` takes the traces of the root's children and `extend`
+    continues with a trace that starts where this one ends."""
 
     def __init__(self, start: Term, builder: ProofBuilder | None):
         self.start = start
@@ -612,43 +545,23 @@ class TermTrace:
         self.builder = builder
         self._chain: list = []
 
-    def rewrite(self, path, axiom_id, sigma, direction="lr"):
+    def rewrite_axiom(self, equation: Equation, sigma, direction="lr"):
+        """Apply an instance of an equation at the root; with a builder, the
+        equation's id names an axiom of its system or one it can derive."""
         if self.builder is not None:
-            new, idx = self.builder.rewrite(self.term, path, axiom_id, sigma, direction)
-            self._chain.append(idx)
-            self.term = new
-            return
-        sys_eq = None
-        if axiom_id in _A_SHAPES:
-            sys_eq = _A_SHAPES[axiom_id]
+            idx = self.builder.axiom(equation.id, sigma, direction)
+            src, dst = self.builder.conclusion(idx)
         else:
+            src, dst = substitute(equation.lhs, sigma), substitute(equation.rhs, sigma)
+            if direction == "rl":
+                src, dst = dst, src
+        if src is not self.term:
             raise ProofError(
-                "plain rewriting only knows the choice laws; use ac/set_term"
+                f"{equation.id} does not match: have {render(self.term)}, want {render(src)}"
             )
-        lhs, rhs = sys_eq
-        src, dst = substitute(lhs, sigma), substitute(rhs, sigma)
-        if direction == "rl":
-            src, dst = dst, src
-        if subterm_at(self.term, tuple(path)) is not src:
-            raise ProofError("rewrite does not match")
-        self.term = replace_at(self.term, tuple(path), dst)
-
-    def rewrite_axiom(self, path, equation: Equation, sigma, direction="lr"):
-        """Apply a concrete equation at a position, proof-free path included."""
         if self.builder is not None:
-            new, idx = self.builder.rewrite(self.term, path, equation.id, sigma, direction)
             self._chain.append(idx)
-            self.term = new
-            return
-        src, dst = substitute(equation.lhs, sigma), substitute(equation.rhs, sigma)
-        if direction == "rl":
-            src, dst = dst, src
-        if subterm_at(self.term, tuple(path)) is not src:
-            raise ProofError(
-                f"{equation.id} does not match at {list(path)}: "
-                f"have {render(subterm_at(self.term, tuple(path)))}, want {render(src)}"
-            )
-        self.term = replace_at(self.term, tuple(path), dst)
+        self.term = dst
 
     def ac_to(self, target: Term):
         if self.term is target:
@@ -663,19 +576,15 @@ class TermTrace:
                 )
         self.term = target
 
-    def splice(self, path, other: "TermTrace"):
-        """Replace the subterm at path, known to be other.start, by
-        other.term, absorbing other's proof chain."""
-        if subterm_at(self.term, tuple(path)) is not other.start:
-            raise ProofError("splice target mismatch")
-        if self.builder is not None:
-            if other._chain:
-                sub_idx = self.builder.trans(other._chain)
-                new, idx = self.builder.rewrite_with(self.term, tuple(path), sub_idx)
-                self._chain.append(idx)
-                self.term = new
-                return
-        self.term = replace_at(self.term, tuple(path), other.term)
+    def extend(self, other: "TermTrace"):
+        """Continue with other, a trace that starts at this one's current
+        term, absorbing its proof."""
+        if other.start is not self.term:
+            raise ProofError("extend: the trace does not start at the current term")
+        idx = other.proof_index()
+        if idx is not None:
+            self._chain.append(idx)
+        self.term = other.term
 
     def splice_children(self, subs):
         """Replace each child of the root, known to be the start of the
@@ -724,17 +633,28 @@ def _step_to_json(step: Step) -> dict:
     return d
 
 
-def _step_from_json(d: dict, term) -> Step:
+def _int_list(v, what: str) -> tuple:
+    if not isinstance(v, list) or any(type(i) is not int for i in v):
+        raise ProofError(f"{what} must be a list of integers")
+    return tuple(v)
+
+
+def _step_from_json(d, term) -> Step:
+    if not isinstance(d, dict):
+        raise ProofError(f"a step must be an object, not {type(d).__name__}")
+    subst = d.get("subst", {})
+    if not isinstance(subst, dict):
+        raise ProofError(f"subst must be an object, not {type(subst).__name__}")
     return Step(
         rule=d["rule"],
         term=term(d["term"]) if "term" in d else None,
-        of=tuple(d.get("of", ())),
-        subst=tuple(sorted((n, term(s)) for n, s in d.get("subst", {}).items())),
+        of=_int_list(d.get("of", []), "of"),
+        subst=tuple(sorted((n, term(s)) for n, s in subst.items())),
         action=d.get("action"),
         axiom_id=d.get("axiom"),
         direction=d.get("dir", "lr"),
         host=term(d["host"]) if "host" in d else None,
-        path=tuple(d["path"]) if "path" in d else None,
+        path=_int_list(d["path"], "path") if "path" in d else None,
     )
 
 
@@ -748,17 +668,27 @@ def script_to_json(script: ProofScript, system_name: str | None = None) -> dict:
     return d
 
 
-def script_from_json(d: dict, alphabet) -> ProofScript:
+def script_from_json(d, alphabet) -> ProofScript:
     """Decode a script. Each distinct term text, and each distinct text
     inside a parenthesised group, is parsed once per script: the hosts of
-    consecutive steps share most of their groups."""
+    consecutive steps share most of their groups. A document of the wrong
+    shape raises ProofError, a bad term text ParseError."""
+    if not isinstance(d, dict):
+        raise ProofError(f"a proof script must be an object, not {type(d).__name__}")
+    goal, steps = d.get("goal"), d.get("steps")
+    if not isinstance(goal, dict):
+        raise ProofError(f"goal must be an object with lhs and rhs, not {type(goal).__name__}")
+    if not isinstance(steps, list):
+        raise ProofError(f"steps must be a list, not {type(steps).__name__}")
     memo: dict = {}
 
-    def term(text: str) -> Term:
+    def term(text) -> Term:
+        if not isinstance(text, str):
+            raise ProofError(f"a term must be a string, not {type(text).__name__}")
         return parse_shared(text, alphabet, memo)
 
     return ProofScript(
-        lhs=term(d["goal"]["lhs"]),
-        rhs=term(d["goal"]["rhs"]),
-        steps=tuple(_step_from_json(s, term) for s in d["steps"]),
+        lhs=term(goal["lhs"]),
+        rhs=term(goal["rhs"]),
+        steps=tuple(_step_from_json(s, term) for s in steps),
     )

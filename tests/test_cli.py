@@ -57,3 +57,27 @@ def test_json_output_carries_the_proof_written_out(tmp_path, capsys):
     assert doc["proof_steps"] == len(doc["proof"]["steps"])
     assert main(argv) == 0
     assert "proof" not in json.loads(capsys.readouterr().out)
+
+
+GOAL = {"lhs": "a", "rhs": "a"}
+
+
+@pytest.mark.parametrize(
+    "doc,system",
+    [
+        ({"goal": GOAL, "steps": [{"rule": "refl", "term": "a", "of": 3}]}, "E0"),
+        ([1], "E0"),
+        ({"goal": GOAL, "steps": {"rule": "refl"}}, "E0"),
+        ({"goal": GOAL, "steps": [7]}, "E0"),
+        ({"goal": GOAL, "steps": [{"rule": "refl", "term": "a", "path": ["0"]}]}, "E0"),
+        ({"goal": GOAL, "steps": [{"rule": "refl", "term": 1}]}, "E0"),
+        ({"goal": ["a", "a"], "steps": []}, "E0"),
+        ({"goal": GOAL, "steps": [], "system": 3}, None),
+    ],
+)
+def test_prove_check_reports_malformed_scripts_as_errors(tmp_path, capsys, doc, system):
+    path = tmp_path / "proof.json"
+    path.write_text(json.dumps(doc))
+    argv = ["prove-check", str(path)] + (["--system", system] if system else [])
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: ")

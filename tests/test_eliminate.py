@@ -163,6 +163,7 @@ def test_a_recurring_parallel_node_is_split_once(monkeypatch, name, emit_proof):
             "a.((a'.0 + a'.0) || a.tau.0) + ((a'.0 + a'.0) || a.tau.0) || a'.a'.0",
         ),
         ("E_CT", False, "b.(b.0 + b.0) || (a.b.0 + a.(b.0 + a.0)) || a.b.0"),
+        ("E_RS", False, "b.(b.0 + b.0) || (a.b.0 + a.(b.0 + a.0)) || a.b.0"),
     ],
 )
 def test_three_component_terms_with_repeated_heads(name, sync, text):

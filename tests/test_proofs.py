@@ -3,6 +3,9 @@ from importlib import resources
 from pathlib import Path
 
 import pytest
+from conftest import open_terms
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bccsp.axioms import build_system
 from bccsp.proofs import (
@@ -20,7 +23,7 @@ from bccsp.proofs import (
     script_from_json,
     script_to_json,
 )
-from bccsp.terms import Par, ParseError, Prefix, Sum, Var, make_alphabet, parse, render
+from bccsp.terms import Nil, Par, ParseError, Prefix, Sum, Var, make_alphabet, parse, render
 
 A = make_alphabet(("a", "b"))
 E0 = build_system("E0", A)
@@ -120,6 +123,66 @@ def test_builder_ac_proves_choice_rearrangements():
     assert check_proof(script, E0) == Accepted(len(script.steps))
 
 
+def leaves(t):
+    return leaves(t.left) + leaves(t.right) if isinstance(t, Sum) else [t]
+
+
+def bracket(rnd, ts):
+    """A sum of ts, in order, bracketed at random."""
+    if len(ts) == 1:
+        return ts[0]
+    cut = rnd.randint(1, len(ts) - 1)
+    return Sum(bracket(rnd, ts[:cut]), bracket(rnd, ts[cut:]))
+
+
+def reshuffle(rnd, t):
+    """t with every sum rebuilt from its leaves, shuffled, with one leaf
+    repeated and one 0 added."""
+    if isinstance(t, Prefix):
+        return Prefix(t.action, reshuffle(rnd, t.body))
+    if isinstance(t, Par):
+        return Par(reshuffle(rnd, t.left), reshuffle(rnd, t.right))
+    if not isinstance(t, Sum):
+        return t
+    ts = [reshuffle(rnd, u) for u in leaves(t)]
+    ts += [rnd.choice(ts), Nil()]
+    rnd.shuffle(ts)
+    return bracket(rnd, ts)
+
+
+@settings(max_examples=150, deadline=None)
+@given(open_terms, open_terms, st.randoms(use_true_random=False))
+def test_builder_ac_proves_every_reshuffle(t, other, rnd):
+    u = reshuffle(rnd, t)
+    b = ProofBuilder(E0)
+    script = b.script(t, u, b.ac(t, u))
+    assert check_proof(script, E0) == Accepted(len(script.steps))
+    if canon(t) is canon(other):
+        assert check_proof(b.script(t, other, b.ac(t, other)), E0)
+    else:
+        with pytest.raises(AcMismatch):
+            b.ac(t, other)
+
+
+def test_builder_ac_normalises_a_recurring_sum_once():
+    t = parse("(b + a) || a.(b + a)", A)
+    u = parse("(a + b) || a.(a + b)", A)
+    b = ProofBuilder(E0)
+    script = b.script(t, u, b.ac(t, u))
+    assert check_proof(script, E0)
+    used = [s.axiom_id for s in script.steps if s.rule == "axiom"]
+    assert used == ["A1"]
+
+
+def test_script_stops_at_the_final_step():
+    # the A3 instance is not the last step the builder holds
+    b = ProofBuilder(E0)
+    idx = b.axiom("A3", {"x": pa})
+    b.refl(pb)
+    script = b.script(Sum(pa, pa), pa, idx)
+    assert check_proof(script, E0) == Accepted(1)
+
+
 def test_builder_ac_rejects_genuinely_different_terms():
     b = ProofBuilder(E0)
     with pytest.raises(AcMismatch):
@@ -148,7 +211,7 @@ def test_builder_refuses_wrong_goal():
 def test_trace_without_builder_applies_choice_laws():
     t = parse("a + b", A)
     tr = TermTrace(t, None)
-    tr.rewrite((), "A1", {"x": pa, "y": pb})
+    tr.rewrite_axiom(E0.by_id["A1"], {"x": pa, "y": pb})
     assert tr.term is parse("b + a", A)
     tr.ac_to(parse("a + b + 0", A))
     assert tr.term is parse("a + b + 0", A)
