@@ -11,9 +11,13 @@ readiness system (the latter two by induction on the width of the schema).
 with, say, CSP1 inside the plain simulation system silently expands into the
 SP1 derivation. `fixture_scripts` instantiates every family over a concrete
 alphabet; the shipped data files are exactly its output. After a change to
-how proofs are built, regenerate them from the root of a checkout with
+how proofs are built or written, regenerate them from the root of a
+checkout with
 
-    PYTHONPATH=src python -m bccsp.derivations
+    PYTHONPATH=src python -c "from bccsp.derivations import main; main()"
+
+(`python -m bccsp.derivations` runs this module a second time, after the
+package import has loaded it, and Python warns about that.)
 """
 
 from __future__ import annotations
@@ -57,32 +61,17 @@ class _Chain:
         self.idxs.append(self.b.ac(self.cur, target))
         self.cur = target
 
-    def axiom_root(self, axiom_id, sigma=None, direction="lr"):
-        idx = self.b.axiom(axiom_id, sigma or {}, direction)
-        l, r = self.b.conclusion(idx)
-        if l is not self.cur:
-            raise AssertionError(f"{axiom_id} does not start at the current term")
-        self.idxs.append(idx)
-        self.cur = r
-
-    def eq_root(self, idx, direction="lr"):
+    def eq_at(self, path, idx, direction="lr"):
+        """Rewrite the subterm at path of the current term with a proven
+        equation."""
         if direction == "rl":
             idx = self.b.sym(idx)
-        l, r = self.b.conclusion(idx)
-        if l is not self.cur:
-            raise AssertionError("equation does not start at the current term")
+        idx = self.b.embed(self.cur, tuple(path), idx)
         self.idxs.append(idx)
-        self.cur = r
+        self.cur = self.b.conclusion(idx)[1]
 
-    def eq_at(self, path, idx, direction="lr"):
-        new, step = self.b.rewrite_with(self.cur, tuple(path), idx, direction)
-        self.idxs.append(step)
-        self.cur = new
-
-    def axiom_at(self, path, axiom_id, sigma, direction="lr"):
-        new, step = self.b.rewrite(self.cur, tuple(path), axiom_id, sigma or {}, direction)
-        self.idxs.append(step)
-        self.cur = new
+    def axiom_at(self, path, axiom_id, sigma=None, direction="lr"):
+        self.eq_at(path, self.b.axiom(axiom_id, sigma or {}, direction))
 
     def done(self) -> int:
         if not self.idxs:
@@ -101,7 +90,7 @@ def derive_cs(b: ProofBuilder, a: str, c: str) -> int:
     lhs = _pfx(a, sum_of([bx, _Y, _Z]))
     ch = _Chain(b, lhs)
     ch.ac(_pfx(a, Sum(Sum(bx, _Z), _Y)))
-    ch.axiom_root(f"S[{a}]", {"x": Sum(bx, _Z), "y": _Y})
+    ch.axiom_at((), f"S[{a}]", {"x": Sum(bx, _Z), "y": _Y})
     ch.ac(Sum(lhs, _pfx(a, Sum(bx, _Z))))
     return ch.done()
 
@@ -115,7 +104,7 @@ def derive_csp1(b: ProofBuilder, a: str, c: str, d: str, e: str) -> int:
     gl = (Sum(ax, _U), Sum(by, _U))
     gr = (Sum(cz, _V), Sum(dw, _V))
     ch.ac(Par(Sum(*gl), Sum(*gr)))
-    ch.axiom_root("SP1", {"x": gl[0], "y": gl[1], "z": gr[0], "w": gr[1]})
+    ch.axiom_at((), "SP1", {"x": gl[0], "y": gl[1], "z": gr[0], "w": gr[1]})
     ch.ac(
         sum_of(
             [
@@ -136,7 +125,7 @@ def derive_csp2(b: ProofBuilder, a: str, c: str, d: str) -> int:
     ch = _Chain(b, Par(ax, menu))
     yy, zz = Sum(by, _W), Sum(cz, _W)
     ch.ac(Par(ax, Sum(yy, zz)))
-    ch.axiom_root(f"SP2[{a}]", {"x": _X, "y": yy, "z": zz})
+    ch.axiom_at((), f"SP2[{a}]", {"x": _X, "y": yy, "z": zz})
     ch.ac(sum_of([_pfx(a, Par(_X, menu)), Par(ax, yy), Par(ax, zz)]))
     return ch.done()
 
@@ -149,7 +138,7 @@ def derive_ct(b: ProofBuilder, a: str, c: str, d: str) -> int:
     bx, cy = _pfx(c, _X), _pfx(d, _Y)
     lhs = Sum(_pfx(a, Sum(bx, _Z)), _pfx(a, Sum(cy, _W)))
     ch = _Chain(b, lhs)
-    ch.axiom_root(f"T[{a}]", {"x": Sum(bx, _Z), "y": Sum(cy, _W)})
+    ch.axiom_at((), f"T[{a}]", {"x": Sum(bx, _Z), "y": Sum(cy, _W)})
     ch.ac(_pfx(a, sum_of([bx, cy, _Z, _W])))
     return ch.done()
 
@@ -160,7 +149,7 @@ def derive_ctp(b: ProofBuilder, a: str, c: str) -> int:
     ch = _Chain(b, lhs)
     xx, yy = Sum(ax, _W), Sum(by, _W)
     ch.ac(Par(Sum(xx, yy), _Z))
-    ch.axiom_root("TP", {"x": xx, "y": yy, "z": _Z})
+    ch.axiom_at((), "TP", {"x": xx, "y": yy, "z": _Z})
     ch.ac(Sum(Par(xx, _Z), Par(yy, _Z)))
     return ch.done()
 
@@ -174,7 +163,7 @@ def derive_ft(b: ProofBuilder, a: str) -> int:
     lhs = Sum(ax, ay)
     ch = _Chain(b, lhs)
     ch.axiom_at((1, 0), "A0", {"x": _Y}, "rl")
-    ch.axiom_root(f"F[{a}]", {"x": _X, "y": _Y, "z": Nil()})
+    ch.axiom_at((), f"F[{a}]", {"x": _X, "y": _Y, "z": Nil()})
     ch.ac(Sum(lhs, _pfx(a, Sum(_X, _Y))))
     return ch.done()
 
@@ -187,7 +176,7 @@ def derive_rs_from_f(b: ProofBuilder, a: str, c: str) -> int:
     rhs = Sum(lhs, _pfx(a, Sum(bx, _Z)))
     ch = _Chain(b, rhs)
     ch.ac(Sum(_pfx(a, Sum(bx, _Z)), _pfx(a, Sum(by, Sum(bx, _Z)))))
-    ch.axiom_root(f"R[{a},{c}]", {"x": _X, "y": _Y, "z": _Z, "w": Sum(bx, _Z)})
+    ch.axiom_at((), f"R[{a},{c}]", {"x": _X, "y": _Y, "z": _Z, "w": Sum(bx, _Z)})
     ch.ac(lhs)
     return b.sym(ch.done())
 
@@ -208,16 +197,16 @@ def _derive_split(b: ProofBuilder, a: str, c: str) -> int:
     l3s = _pfx(a, sum_of([cy, cx, _Z]))
     swap = _Chain(b, l3)
     swap.ac(l3s)
-    swap.axiom_root(f"RS[{a},{c}]", {"x": _Y, "y": _X})
+    swap.axiom_at((), f"RS[{a},{c}]", {"x": _Y, "y": _X})
     swap.ac(Sum(l3, _pfx(a, Sum(cy, _Z))))
     e2 = swap.done()
 
     s = Sum(_pfx(a, Sum(cx, _Z)), _pfx(a, Sum(cy, _Z)))
     ch = _Chain(b, s)
-    ch.axiom_root(f"FT[{a}]", {"x": Sum(cx, _Z), "y": Sum(cy, _Z)})
+    ch.axiom_at((), f"FT[{a}]", {"x": Sum(cx, _Z), "y": Sum(cy, _Z)})
     ch.ac(Sum(Sum(l3, _pfx(a, Sum(cx, _Z))), _pfx(a, Sum(cy, _Z))))
     ch.eq_at((0,), e1, "rl")
-    ch.eq_root(e2, "rl")
+    ch.eq_at((), e2, "rl")
     return b.sym(ch.done())
 
 
@@ -251,7 +240,7 @@ def _derive_absorb(b: ProofBuilder, a: str, bs, xs, ys, splits: dict) -> int:
     ch = _Chain(b, lhs)
     ch.ac(_pfx(a, sum_of([_pfx(c, xv), _pfx(c, yv), big_z])))
     sigma = {"x": xv, "y": yv, "z": big_z}
-    ch.eq_root(b.subst(split, sigma))
+    ch.eq_at((), b.subst(split, sigma))
     a_part = _pfx(a, Sum(_pfx(c, xv), big_z))
     b_part = _pfx(a, Sum(_pfx(c, yv), big_z))
     # recurse on the first disjunct with the tail enlarged by c.x
@@ -282,7 +271,7 @@ def derive_rt_from_ft(b: ProofBuilder, a: str, bs) -> int:
     lhs_yx = b.conclusion(absorb_y)[0]
 
     ch = _Chain(b, lhs)
-    ch.eq_root(absorb_x)
+    ch.eq_at((), absorb_x)
     ch.ac(Sum(lhs_yx, cx))
     ch.eq_at((0,), absorb_y)
     # absorb the original term into the two projections
@@ -291,7 +280,7 @@ def derive_rt_from_ft(b: ProofBuilder, a: str, bs) -> int:
     folded = _pfx(a, Sum(body_x, body_y))
     ch.ac(Sum(Sum(cx, cy), folded))
     ft = b.axiom(f"FT[{a}]", {"x": body_x, "y": body_y})
-    ch.eq_root(ft, "rl")
+    ch.eq_at((), ft, "rl")
     ch.ac(Sum(cx, cy))
     return ch.done()
 
@@ -316,13 +305,13 @@ def _derive_merge(b: ProofBuilder, a: str, bs, xs, ys) -> int:
 
     ch = _Chain(b, start)
     ch.ac(Sum(_pfx(a, Sum(_pfx(c, xv), xn)), _pfx(a, Sum(_pfx(c, yv), yn))))
-    ch.axiom_root(f"R[{a},{c}]", {"x": xv, "y": yv, "z": xn, "w": yn})
+    ch.axiom_at((), f"R[{a},{c}]", {"x": xv, "y": yv, "z": xn, "w": yn})
 
     sub = _derive_merge(b, a, head_bs, head_xs, head_ys)
     sigma = {"z": sum_of([_pfx(c, xv), _pfx(c, yv), _Z]), "w": Sum(_pfx(c, yv), _W)}
     sub = b.subst(sub, sigma)
     ch.ac(b.conclusion(sub)[0])
-    ch.eq_root(sub)
+    ch.eq_at((), sub)
 
     pairs = []
     for ci, xi, yi in zip(bs, xs, ys):
@@ -346,10 +335,10 @@ def derive_rt_from_r(b: ProofBuilder, a: str, bs) -> int:
     # one copy, then the plain merge backwards to shed them from the other
     inst_yx = b.subst(merge_yx, {"w": sum_of([_pfx(c, yv) for c, yv in zip(bs, ys)] + [_Z])})
     ch.ac(b.conclusion(inst_yx)[1])
-    ch.eq_root(inst_yx, "rl")
+    ch.eq_at((), inst_yx, "rl")
     inst_xy = b.subst(merge_xy, {"w": _Z})
     ch.ac(b.conclusion(inst_xy)[1])
-    ch.eq_root(inst_xy, "rl")
+    ch.eq_at((), inst_xy, "rl")
     ch.ac(Sum(cx, cy))
     return ch.done()
 

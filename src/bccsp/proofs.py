@@ -3,10 +3,10 @@
 A proof script is a straight-line sequence of steps, each concluding an
 equation between terms. Steps refer to earlier steps by index. The rules are
 reflexivity, symmetry, transitivity, substitution, congruence for prefix,
-choice and parallel, and axiom introduction. An axiom step optionally
-carries a substitution and a context: with a context it concludes
-host = host-with-the-instantiated-axiom-applied-at-path, which packages the
-usual cut through the congruence rules into one checkable step.
+choice and parallel, and axiom introduction. An axiom step concludes an
+instance of the axiom at the root, under an optional substitution and read
+in either direction; rewriting below the root goes through the congruence
+rules (`ProofBuilder.embed`).
 
 `check_proof` recomputes every conclusion and accepts only if the last one
 is the stated goal, both sides syntactically identical.
@@ -22,6 +22,16 @@ left one at a time, using root instances of A0-A3 and congruence only. It
 is memoised per node for the builder's lifetime, so a subterm that recurs
 is normalised once. This is the workhorse gluing the shape of a term to the
 shape an axiom wants.
+
+In JSON (`script_to_json`, `script_from_json`) a script is an object
+{"terms": rows, "goal": {"lhs": i, "rhs": j}, "steps": [...], "system":
+name}. Terms are hash-consed DAGs, and each distinct node of the script is
+one row of the `terms` table: ["0"], ["v", name], [".", action, body],
+["+", left, right] or ["||", left, right], where every child is the index
+of an earlier row. The goal sides, a step's `term` and the values of its
+`subst` object are row indices, so a term shared by many steps, or
+repeated inside one, is written once, and a term whose tree is too large
+to print still has a table the size of its DAG.
 """
 
 from __future__ import annotations
@@ -35,9 +45,11 @@ from .terms import (
     Prefix,
     Sum,
     Term,
-    parse_shared,
+    Var,
+    children,
+    postorder,
     render,
-    replace_at,
+    size,
     substitute,
     subterm_at,
 )
@@ -77,8 +89,6 @@ class Step:
     action: str | None = None
     axiom_id: str | None = None
     direction: str = "lr"
-    host: Term | None = None
-    path: tuple | None = None
 
 
 @dataclass(frozen=True)
@@ -112,6 +122,16 @@ def _subst_map(pairs) -> dict:
     return {n: t for n, t in pairs}
 
 
+_SHOWN_SIZE = 60  # largest term an error message writes out
+
+
+def _show(t: Term) -> str:
+    """t's text for an error message, or its size when the text would be
+    too long: a term's tree can be exponentially larger than its DAG."""
+    n = size(t)
+    return render(t) if n <= _SHOWN_SIZE else f"<term of size {n}>"
+
+
 def _step_conclusion(step: Step, conclusions, system: AxiomSystem) -> tuple:
     """The equation (lhs, rhs) a step concludes, or a ProofError."""
 
@@ -136,7 +156,7 @@ def _step_conclusion(step: Step, conclusions, system: AxiomSystem) -> tuple:
             l, rr = premise(i)
             if l is not cur:
                 raise ProofError(
-                    f"trans chain broken: {render(cur)} is not {render(l)}"
+                    f"trans chain broken: {_show(cur)} is not {_show(l)}"
                 )
             cur = rr
         return (l0, cur)
@@ -167,18 +187,7 @@ def _step_conclusion(step: Step, conclusions, system: AxiomSystem) -> tuple:
             src, dst = dst, src
         elif step.direction != "lr":
             raise ProofError(f"direction must be lr or rl, got {step.direction!r}")
-        if step.host is None:
-            return (src, dst)
-        try:
-            at = subterm_at(step.host, step.path)
-        except IndexError as e:
-            raise ProofError(str(e))
-        if at is not src:
-            raise ProofError(
-                f"context mismatch: host has {render(at)} at {list(step.path)}, "
-                f"axiom instance rewrites {render(src)}"
-            )
-        return (step.host, replace_at(step.host, step.path, dst))
+        return (src, dst)
     raise ProofError(f"unknown rule {r!r}")
 
 
@@ -199,8 +208,8 @@ def check_proof(script: ProofScript, system: AxiomSystem):
     if l is not script.lhs or r is not script.rhs:
         return Rejected(
             -1,
-            f"final conclusion {render(l)} = {render(r)} is not the goal "
-            f"{render(script.lhs)} = {render(script.rhs)}",
+            f"final conclusion {_show(l)} = {_show(r)} is not the goal "
+            f"{_show(script.lhs)} = {_show(script.rhs)}",
         )
     return Accepted(len(script.steps))
 
@@ -276,19 +285,16 @@ def canon(t: Term) -> Term:
 # Script construction
 
 
-def _children(t: Term) -> tuple:
-    return (t.body,) if isinstance(t, Prefix) else (t.left, t.right)
-
-
 class ProofBuilder:
     """Accumulates proof steps against a fixed axiom system.
 
     `derive` is an optional hook called as derive(builder, axiom_id) for
     axiom ids that are *not* in the system; it must return the index of a
     step proving that schema equation from what the system has (or None if
-    it cannot). `axiom` and `rewrite` fall back to it, so case analyses
-    written against a larger axiom vocabulary run unchanged over a smaller
-    system.
+    it cannot). `axiom` falls back to it, so case analyses written against
+    a larger axiom vocabulary run unchanged over a smaller system. Rewriting
+    below the root goes through `embed`, congruence steps over a root
+    equation.
     """
 
     def __init__(self, system: AxiomSystem, derive=None):
@@ -394,7 +400,7 @@ class ProofBuilder:
         """From proofs of l_i = r_i with l_i the children of host (None for
         a child kept as it is), conclude host = host with every l_i replaced
         by r_i, in one congruence step."""
-        kids = _children(host)
+        kids = children(host)
         of = tuple(self.refl(k) if i is None else i for k, i in zip(kids, idxs, strict=True))
         if tuple(self.conclusions[i][0] for i in of) != kids:
             raise ProofError("cong: an equation's left side is not the child")
@@ -402,38 +408,13 @@ class ProofBuilder:
             return self._add(Step("cong_prefix", of=of, action=host.action))
         return self._add(Step("cong_sum" if isinstance(host, Sum) else "cong_par", of=of))
 
-    def rewrite(self, host: Term, path: tuple, axiom_id: str, sigma: dict, direction: str = "lr") -> tuple:
-        """Apply one axiom instance at a position. Returns (new term, index of
-        the step proving host = new term)."""
-        if axiom_id in self.system.by_id:
-            step = Step(
-                "axiom",
-                axiom_id=axiom_id,
-                subst=tuple(sorted(sigma.items())),
-                direction=direction,
-                host=host,
-                path=tuple(path),
-            )
-            idx = self._add(step)
-            return self.conclusions[idx][1], idx
-        base = self.axiom(axiom_id, sigma, direction)
-        idx = self.embed(host, tuple(path), base)
-        return self.conclusions[idx][1], idx
-
-    def rewrite_with(self, host: Term, path: tuple, idx: int, direction: str = "lr") -> tuple:
-        """Apply an already proven equation at a position."""
-        if direction == "rl":
-            idx = self.sym(idx)
-        idx2 = self.embed(host, tuple(path), idx)
-        return self.conclusions[idx2][1], idx2
-
     def ac(self, t: Term, u: Term) -> int:
         """Prove t = u using only A0-A3, at any positions: t = canon(t) =
         canon(u) = u."""
         if t is u:
             return self.refl(t)
         if canon(t) is not canon(u):
-            raise AcMismatch(f"{render(t)} and {render(u)} differ beyond the choice laws")
+            raise AcMismatch(f"{_show(t)} and {_show(u)} differ beyond the choice laws")
         up = self._to_canon(u)
         return self._join([self._to_canon(t), None if up is None else self.sym(up)])
 
@@ -451,7 +432,7 @@ class ProofBuilder:
             return None
         if t in self._canon:
             return self._canon[t]
-        subs = list(map(self._to_canon, _children(t)))  # no comprehension frame per level
+        subs = list(map(self._to_canon, children(t)))  # no comprehension frame per level
         chain = [self.cong(t, subs)] if any(i is not None for i in subs) else []
         if isinstance(t, Sum):
             chain += self._merge(canon(t.left), canon(t.right))
@@ -557,7 +538,7 @@ class TermTrace:
                 src, dst = dst, src
         if src is not self.term:
             raise ProofError(
-                f"{equation.id} does not match: have {render(self.term)}, want {render(src)}"
+                f"{equation.id} does not match: have {_show(self.term)}, want {_show(src)}"
             )
         if self.builder is not None:
             self._chain.append(idx)
@@ -572,7 +553,7 @@ class TermTrace:
         else:
             if canon(self.term) is not canon(target):
                 raise AcMismatch(
-                    f"{render(self.term)} vs {render(target)}: not equal under choice laws"
+                    f"{_show(self.term)} vs {_show(target)}: not equal under choice laws"
                 )
         self.term = target
 
@@ -591,7 +572,7 @@ class TermTrace:
         matching trace in subs (None for a child kept as it is), by that
         trace's end, absorbing the traces' proofs in one congruence step."""
         t = self.term
-        kids = _children(t)
+        kids = children(t)
         new = []
         for k, sub in zip(kids, subs, strict=True):
             if sub is not None and sub.start is not k:
@@ -614,23 +595,86 @@ class TermTrace:
 # JSON round-tripping
 
 
-def _step_to_json(step: Step) -> dict:
+def _row(t: Term, index: dict) -> list:
+    if isinstance(t, Nil):
+        return ["0"]
+    if isinstance(t, Var):
+        return ["v", t.name]
+    if isinstance(t, Prefix):
+        return [".", t.action, index[t.body]]
+    return ["+" if isinstance(t, Sum) else "||", index[t.left], index[t.right]]
+
+
+def _step_to_json(step: Step, ref) -> dict:
     d: dict = {"rule": step.rule}
     if step.term is not None:
-        d["term"] = render(step.term)
+        d["term"] = ref(step.term)
     if step.of:
         d["of"] = list(step.of)
     if step.subst:
-        d["subst"] = {n: render(t) for n, t in step.subst}
+        d["subst"] = {n: ref(t) for n, t in step.subst}
     if step.action is not None:
         d["action"] = step.action
     if step.axiom_id is not None:
         d["axiom"] = step.axiom_id
         d["dir"] = step.direction
-    if step.host is not None:
-        d["host"] = render(step.host)
-        d["path"] = list(step.path)
     return d
+
+
+def script_to_json(script: ProofScript, system_name: str | None = None) -> dict:
+    """Encode a script, every distinct node of its terms as one row of the
+    terms table (see the module docstring)."""
+    rows: list = []
+    index: dict = {}  # node -> its row
+
+    def ref(t: Term) -> int:
+        got = index.get(t)
+        if got is None:
+            for u in postorder(t, index.__contains__):
+                index[u] = len(rows)
+                rows.append(_row(u, index))
+            got = index[t]
+        return got
+
+    goal = {"lhs": ref(script.lhs), "rhs": ref(script.rhs)}
+    steps = [_step_to_json(s, ref) for s in script.steps]
+    d = {"terms": rows, "goal": goal, "steps": steps}
+    if system_name:
+        d["system"] = system_name
+    return d
+
+
+def _terms_from_rows(rows, alphabet) -> list:
+    """The term of every row of a terms table, built in one forward pass."""
+    if not isinstance(rows, list):
+        raise ProofError(f"terms must be a list of rows, not {type(rows).__name__}")
+    out: list = []
+    for k, row in enumerate(rows):
+        if not isinstance(row, list) or not row:
+            raise ProofError(f"row {k} must be a non-empty list")
+        tag, n = row[0], len(row)
+        if tag == "0" and n == 1:
+            t = Nil()
+        elif tag == "v" and n == 2:
+            name = row[1]
+            if not isinstance(name, str) or not name or alphabet.has_action(name):
+                raise ProofError(f"row {k}: {name!r} is not a variable name")
+            t = Var(name)
+        elif tag in (".", "+", "||") and n == 3:
+            kids = row[2:] if tag == "." else row[1:]
+            for i in kids:
+                if type(i) is not int or not 0 <= i < k:
+                    raise ProofError(f"row {k}: child {i!r} is not an earlier row")
+            if tag == ".":
+                if not isinstance(row[1], str) or not alphabet.has_action(row[1]):
+                    raise ProofError(f"row {k}: {row[1]!r} is not an action")
+                t = Prefix(row[1], out[row[2]])
+            else:
+                t = (Sum if tag == "+" else Par)(out[row[1]], out[row[2]])
+        else:
+            raise ProofError(f"row {k} is not a term row of a known tag and length")
+        out.append(t)
+    return out
 
 
 def _int_list(v, what: str) -> tuple:
@@ -653,26 +697,15 @@ def _step_from_json(d, term) -> Step:
         action=d.get("action"),
         axiom_id=d.get("axiom"),
         direction=d.get("dir", "lr"),
-        host=term(d["host"]) if "host" in d else None,
-        path=_int_list(d["path"], "path") if "path" in d else None,
     )
 
 
-def script_to_json(script: ProofScript, system_name: str | None = None) -> dict:
-    d = {
-        "goal": {"lhs": render(script.lhs), "rhs": render(script.rhs)},
-        "steps": [_step_to_json(s) for s in script.steps],
-    }
-    if system_name:
-        d["system"] = system_name
-    return d
-
-
 def script_from_json(d, alphabet) -> ProofScript:
-    """Decode a script. Each distinct term text, and each distinct text
-    inside a parenthesised group, is parsed once per script: the hosts of
-    consecutive steps share most of their groups. A document of the wrong
-    shape raises ProofError, a bad term text ParseError."""
+    """Decode a script written by `script_to_json`. The terms table is
+    built row by row with the hash-consing constructors, so every term of
+    the script is the very object the encoder wrote. A document of the
+    wrong shape, a row that is not a term over the alphabet or a term index
+    out of range raises ProofError."""
     if not isinstance(d, dict):
         raise ProofError(f"a proof script must be an object, not {type(d).__name__}")
     goal, steps = d.get("goal"), d.get("steps")
@@ -680,12 +713,12 @@ def script_from_json(d, alphabet) -> ProofScript:
         raise ProofError(f"goal must be an object with lhs and rhs, not {type(goal).__name__}")
     if not isinstance(steps, list):
         raise ProofError(f"steps must be a list, not {type(steps).__name__}")
-    memo: dict = {}
+    terms = _terms_from_rows(d.get("terms"), alphabet)
 
-    def term(text) -> Term:
-        if not isinstance(text, str):
-            raise ProofError(f"a term must be a string, not {type(text).__name__}")
-        return parse_shared(text, alphabet, memo)
+    def term(i) -> Term:
+        if type(i) is not int or not 0 <= i < len(terms):
+            raise ProofError(f"a term must be the index of a row, not {i!r}")
+        return terms[i]
 
     return ProofScript(
         lhs=term(goal["lhs"]),

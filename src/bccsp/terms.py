@@ -3,12 +3,13 @@
 Terms are immutable and hash-consed. Building the same shape twice yields the
 same object, so syntactic equality is identity and terms can be used as dict
 keys at no cost. Per-node analysis results (metrics, free variables, rendered
-text, transition sets) are cached on the node itself and die with it.
+text, transition sets) are cached on the node itself and die with it. The
+rendered text and the metrics are filled in from an explicit stack, so a
+deep term costs heap, not Python call frames.
 """
 
 from __future__ import annotations
 
-import re
 import weakref
 from dataclasses import dataclass
 
@@ -23,8 +24,9 @@ __all__ = [
     "make_alphabet",
     "ParseError",
     "parse",
-    "parse_shared",
     "render",
+    "children",
+    "postorder",
     "size",
     "depth",
     "norm",
@@ -36,7 +38,6 @@ __all__ = [
     "is_nil_term",
     "strip_nil",
     "subterm_at",
-    "replace_at",
     "vars_at_distance",
     "all_terms",
 ]
@@ -138,6 +139,44 @@ class Par(Term):
             object.__setattr__(t, "right", right)
 
         return _intern(cls, ("|", left, right), init)
+
+
+def children(t: Term) -> tuple:
+    """The immediate subterms: a prefix's body, both sides of a sum or a
+    parallel composition, none for 0 and variables."""
+    if isinstance(t, Prefix):
+        return (t.body,)
+    if isinstance(t, (Sum, Par)):
+        return (t.left, t.right)
+    return ()
+
+
+def postorder(t: Term, known=lambda u: False) -> list:
+    """The distinct nodes of t, each listed after its children, leaving out
+    every node for which known(node) holds and, unless reached another way,
+    the nodes below it. The walk keeps its own stack, so the depth of t
+    costs no call frames."""
+    order, seen, stack = [], set(), [(t, False)]
+    while stack:
+        u, expanded = stack.pop()
+        if expanded:
+            order.append(u)
+        elif u not in seen and not known(u):
+            seen.add(u)
+            stack.append((u, True))
+            stack.extend((k, False) for k in reversed(children(u)))
+    return order
+
+
+def _fill(t: Term, key: str, compute):
+    """Cache compute(u) under key on t, which lacks it, and first on every
+    node below t that lacks it, children before parents: compute may look
+    up the children's entries. Returns t's entry."""
+    if any(k._cache is None or key not in k._cache for k in children(t)):
+        for u in postorder(t, lambda u: u._cache is not None and key in u._cache)[:-1]:
+            u.cache()[key] = compute(u)
+    v = t.cache()[key] = compute(t)
+    return v
 
 
 # ---------------------------------------------------------------------------
@@ -330,67 +369,6 @@ def parse(text: str, alphabet: Alphabet) -> Term:
     return t
 
 
-_PAREN = re.compile(r"[()]")
-
-
-class _SharingParser(_Parser):
-    """A parser that looks up the text inside each balanced parenthesised
-    group in a memo before parsing it, and records what it parses there.
-    Parsing a group does not depend on the text around it, so a memo hit
-    yields the very Term a fresh parse would."""
-
-    def __init__(self, text: str, alphabet: Alphabet, memo: dict):
-        super().__init__(text, alphabet)
-        self.memo = memo
-        self._close = None  # position of each "(" -> position of its ")"
-
-    def _closing(self) -> dict:
-        if self._close is None:
-            close, open_ = {}, []
-            for m in _PAREN.finditer(self.text):
-                if m.group() == "(":
-                    open_.append(m.start())
-                elif open_:
-                    close[open_.pop()] = m.start()
-            self._close = close
-        return self._close
-
-    def parse_item(self) -> Term:
-        self.skip_ws()
-        if self.peek() != "(":
-            return super().parse_item()
-        start = self.pos
-        end = self._closing().get(start)
-        if end is None:
-            return super().parse_item()
-        inner = self.text[start + 1 : end]
-        got = self.memo.get(inner)
-        if got is not None:
-            self.pos = end + 1
-            return got
-        t = super().parse_item()
-        if self.pos == end + 1:
-            self.memo[inner] = t
-        return t
-
-
-def parse_shared(text: str, alphabet: Alphabet, memo: dict) -> Term:
-    """parse(text, alphabet), reusing and extending a memo from text to Term
-    that covers whole texts and the text inside every parenthesised group.
-    A memo must only be shared between calls with the same alphabet."""
-    got = memo.get(text)
-    if got is not None:
-        return got
-    p = _SharingParser(text, alphabet, memo)
-    p.skip_ws()
-    t = p.parse_sum()
-    p.skip_ws()
-    if p.pos != len(text):
-        p.error("trailing input")
-    memo[text] = t
-    return t
-
-
 # ---------------------------------------------------------------------------
 # Rendering
 
@@ -402,8 +380,7 @@ def render(t: Term) -> str:
     c = t.cache()
     r = c.get("render")
     if r is None:
-        r = _render(t)
-        c["render"] = r
+        r = _fill(t, "render", _render)
     return r
 
 
@@ -443,21 +420,21 @@ def _metrics(t: Term) -> tuple[int, int, int]:
     c = t.cache()
     m = c.get("metrics")
     if m is None:
-        if isinstance(t, (Nil, Var)):
-            m = (1, 0, 0)
-        elif isinstance(t, Prefix):
-            s, d, n = _metrics(t.body)
-            m = (s + 1, d + 1, n + 1)
-        elif isinstance(t, Sum):
-            ls, ld, ln = _metrics(t.left)
-            rs, rd, rn = _metrics(t.right)
-            m = (ls + rs + 1, max(ld, rd), min(ln, rn))
-        else:
-            ls, ld, rn_ = _metrics(t.left)
-            rs, rd, nn = _metrics(t.right)
-            m = (ls + rs + 1, ld + rd, rn_ + nn)
-        c["metrics"] = m
+        m = _fill(t, "metrics", _metrics_of)
     return m
+
+
+def _metrics_of(t: Term) -> tuple[int, int, int]:
+    if isinstance(t, (Nil, Var)):
+        return (1, 0, 0)
+    if isinstance(t, Prefix):
+        s, d, n = _metrics(t.body)
+        return (s + 1, d + 1, n + 1)
+    ls, ld, ln = _metrics(t.left)
+    rs, rd, rn = _metrics(t.right)
+    if isinstance(t, Sum):
+        return (ls + rs + 1, max(ld, rd), min(ln, rn))
+    return (ls + rs + 1, ld + rd, ln + rn)
 
 
 def size(t: Term) -> int:
@@ -649,27 +626,6 @@ def subterm_at(t: Term, path) -> Term:
         else:
             raise IndexError("path descends below a leaf")
     return t
-
-
-def replace_at(t: Term, path, new: Term) -> Term:
-    if not path:
-        return new
-    i, rest = path[0], path[1:]
-    if isinstance(t, Prefix):
-        if i != 0:
-            raise IndexError(f"prefix has only child 0, got {i}")
-        return Prefix(t.action, replace_at(t.body, rest, new))
-    if isinstance(t, Sum):
-        if i == 0:
-            return Sum(replace_at(t.left, rest, new), t.right)
-        if i == 1:
-            return Sum(t.left, replace_at(t.right, rest, new))
-    if isinstance(t, Par):
-        if i == 0:
-            return Par(replace_at(t.left, rest, new), t.right)
-        if i == 1:
-            return Par(t.left, replace_at(t.right, rest, new))
-    raise IndexError("path does not address a position in the term")
 
 
 def vars_at_distance(t: Term, k: int, alphabet=None, mode=None) -> frozenset:

@@ -3,7 +3,10 @@ import json
 import pytest
 
 from bccsp.cli import main
+from bccsp.proofs import script_from_json
+from bccsp.terms import make_alphabet, render
 
+A = make_alphabet(("a", "b"))
 THREE = "(a + b) || a.b || a"
 
 
@@ -15,7 +18,7 @@ def test_eliminate_proof_out_then_prove_check(tmp_path, capsys, system):
     assert "||" not in result
     doc = json.loads(out.read_text())
     assert doc["system"] == system
-    assert doc["goal"]["rhs"] == result
+    assert render(script_from_json(doc, A).rhs) == result
 
     assert main(["prove-check", str(out)]) == 0
     assert capsys.readouterr().out.startswith("accepted")
@@ -53,26 +56,63 @@ def test_json_output_carries_the_proof_written_out(tmp_path, capsys):
     assert main(argv + ["--proof-out", str(out)]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["proof"] == json.loads(out.read_text())
-    assert doc["proof"]["goal"] == {"lhs": "a.0 || b.0", "rhs": doc["result"]}
+    back = script_from_json(doc["proof"], A)
+    assert (render(back.lhs), render(back.rhs)) == ("a.0 || b.0", doc["result"])
     assert doc["proof_steps"] == len(doc["proof"]["steps"])
     assert main(argv) == 0
     assert "proof" not in json.loads(capsys.readouterr().out)
 
 
-GOAL = {"lhs": "a", "rhs": "a"}
+def test_a_deep_term_eliminates_and_its_proof_checks(tmp_path, capsys):
+    out = tmp_path / "proof.json"
+    term = "a." * 800 + "(a || b)"
+    assert main(["eliminate", term, "--system", "E_RS", "--proof-out", str(out)]) == 0
+    assert capsys.readouterr().out.startswith("a." * 800)
+    assert main(["prove-check", str(out)]) == 0
+    assert capsys.readouterr().out.startswith("accepted")
+
+
+ROWS = [["0"], [".", "a", 0]]
+GOAL = {"lhs": 1, "rhs": 1}
+REFL = [{"rule": "refl", "term": 1}]
+
+
+def table(*rows) -> dict:
+    return {"terms": [["0"], *rows], "goal": {"lhs": 0, "rhs": 0}, "steps": []}
 
 
 @pytest.mark.parametrize(
     "doc,system",
     [
-        ({"goal": GOAL, "steps": [{"rule": "refl", "term": "a", "of": 3}]}, "E0"),
+        ({"terms": ROWS, "goal": GOAL, "steps": [{"rule": "refl", "term": 1, "of": 3}]}, "E0"),
         ([1], "E0"),
-        ({"goal": GOAL, "steps": {"rule": "refl"}}, "E0"),
-        ({"goal": GOAL, "steps": [7]}, "E0"),
-        ({"goal": GOAL, "steps": [{"rule": "refl", "term": "a", "path": ["0"]}]}, "E0"),
-        ({"goal": GOAL, "steps": [{"rule": "refl", "term": 1}]}, "E0"),
-        ({"goal": ["a", "a"], "steps": []}, "E0"),
-        ({"goal": GOAL, "steps": [], "system": 3}, None),
+        ({"terms": ROWS, "goal": GOAL, "steps": {"rule": "refl"}}, "E0"),
+        ({"terms": ROWS, "goal": GOAL, "steps": [7]}, "E0"),
+        ({"terms": ROWS, "goal": GOAL, "steps": [{"rule": "refl", "term": 1, "of": ["0"]}]}, "E0"),
+        ({"terms": ROWS, "goal": GOAL, "steps": [{"rule": "refl", "term": "a"}]}, "E0"),
+        ({"terms": ROWS, "goal": [1, 1], "steps": []}, "E0"),
+        ({"terms": ROWS, "goal": GOAL, "steps": [], "system": 3}, None),
+        # rows referring to themselves or to later rows
+        (table(["+", 1, 0]), "E0"),
+        ({"terms": [[".", "a", 1], ["0"]], "goal": {"lhs": 1, "rhs": 1}, "steps": []}, "E0"),
+        # an unknown tag, a row of the wrong length, a row that is no list
+        (table(["*", 0, 0]), "E0"),
+        (table([".", "a"]), "E0"),
+        (table(["0", 0]), "E0"),
+        (table([]), "E0"),
+        (table("0"), "E0"),
+        # an action outside the alphabet, a variable named like an action
+        (table([".", "c", 0]), "E0"),
+        (table(["v", "a"]), "E0"),
+        (table(["v", ""]), "E0"),
+        # term indices out of range or not integers
+        ({"terms": ROWS, "goal": {"lhs": 1, "rhs": 2}, "steps": REFL}, "E0"),
+        ({"terms": ROWS, "goal": GOAL, "steps": [{"rule": "refl", "term": -1}]}, "E0"),
+        ({"terms": ROWS, "goal": GOAL, "steps": [{"rule": "axiom", "axiom": "A0", "subst": {"x": 2}}]}, "E0"),
+        ({"terms": ROWS, "goal": {"lhs": True, "rhs": 1}, "steps": REFL}, "E0"),
+        # terms that is not a list, and a script that writes its terms as text
+        ({"terms": {"0": ["0"]}, "goal": GOAL, "steps": REFL}, "E0"),
+        ({"goal": {"lhs": "a", "rhs": "a"}, "steps": [{"rule": "refl", "term": "a"}]}, "E0"),
     ],
 )
 def test_prove_check_reports_malformed_scripts_as_errors(tmp_path, capsys, doc, system):

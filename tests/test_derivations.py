@@ -90,4 +90,7 @@ def test_shipped_fixtures_are_current(host, schema):
     """Regenerating a fixture must reproduce the shipped file, so the data
     cannot silently drift from the derivation code."""
     path = fixture_path(DATA_DIR, host, schema)
-    assert json.loads(path.read_text()) == fixture_payload(host, schema)
+    assert json.loads(path.read_text()) == fixture_payload(host, schema), (
+        f"{path.name} is stale; regenerate the fixtures from the root of the checkout with "
+        'PYTHONPATH=src python -c "from bccsp.derivations import main; main()"'
+    )

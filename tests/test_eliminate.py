@@ -1,13 +1,21 @@
 import importlib
+import json
 
 import pytest
 
 from bccsp.axioms import build_system
 from bccsp.eliminate import eliminate, family_of, par_free
 from bccsp.equivalences import equivalent
-from bccsp.proofs import check_proof
+from bccsp.proofs import (
+    Accepted,
+    ProofScript,
+    Rejected,
+    check_proof,
+    script_from_json,
+    script_to_json,
+)
 from bccsp.semantics import TransitionMode
-from bccsp.terms import Prefix, Sum, Var, make_alphabet, parse, render
+from bccsp.terms import Nil, Prefix, Sum, Var, make_alphabet, parse, render
 
 A = make_alphabet(("a", "b"))
 S1 = make_alphabet(("a",), sync=True)
@@ -174,6 +182,22 @@ def test_three_component_terms_with_repeated_heads(name, sync, text):
     assert par_free(got)
     assert script.lhs is t and script.rhs is got
     assert check_proof(script, sys_)
+
+
+def test_a_result_too_large_to_print_round_trips_through_json():
+    # the result has under 2,000 distinct nodes but about 3e9 tree nodes
+    sys_ = build_system("E_RS", A)
+    t = parse("b.(b.0 + b.0) || (a.b.0 + a.(b.0 + a.0)) || a.b.0", A)
+    result, script = eliminate(t, sys_, emit_proof=True)
+    blob = json.dumps(script_to_json(script, sys_.name))
+    assert len(blob) < 1_000_000
+    back = script_from_json(json.loads(blob), A)
+    assert back.lhs is t and back.rhs is result
+    assert check_proof(back, sys_) == Accepted(len(script.steps))
+    # a rejection names the huge side by its size
+    out = check_proof(ProofScript(t, Nil(), back.steps), sys_)
+    assert isinstance(out, Rejected) and out.step == -1
+    assert len(out.reason) < 1000 and "<term of size" in out.reason
 
 
 def test_a_split_that_does_not_shrink_is_caught(monkeypatch):

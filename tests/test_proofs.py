@@ -23,7 +23,7 @@ from bccsp.proofs import (
     script_from_json,
     script_to_json,
 )
-from bccsp.terms import Nil, Par, ParseError, Prefix, Sum, Var, make_alphabet, parse, render
+from bccsp.terms import Nil, Par, Prefix, Sum, make_alphabet, parse, postorder
 
 A = make_alphabet(("a", "b"))
 E0 = build_system("E0", A)
@@ -87,20 +87,6 @@ def test_broken_transitivity_chain():
 def test_premise_index_out_of_range():
     out = check_proof(ProofScript(pa, pa, (Step("sym", of=(3,)),)), E0)
     assert isinstance(out, Rejected) and out.step == 0
-
-
-def test_contextual_axiom_step():
-    host = parse("b.(a + 0)", A)
-    steps = (
-        Step("axiom", axiom_id="A0", subst=(("x", pa),), host=host, path=(0,)),
-    )
-    assert check_proof(ProofScript(host, parse("b.a", A), steps), E0)
-    # wrong path: the axiom instance does not occur there
-    steps = (
-        Step("axiom", axiom_id="A0", subst=(("x", pb),), host=host, path=(0,)),
-    )
-    out = check_proof(ProofScript(host, parse("b.a", A), steps), E0)
-    assert not out and "context mismatch" in out.reason
 
 
 def test_replay_conclusions_lists_every_step():
@@ -192,10 +178,14 @@ def test_builder_ac_rejects_genuinely_different_terms():
 def test_builder_rewrite_deep_in_a_term():
     host = parse("(a + a) || b.(0 + 0)", A)
     b = ProofBuilder(E1)
-    new, idx = b.rewrite(host, (0,), "A3", {"x": pa})
+    idx = b.embed(host, (0,), b.axiom("A3", {"x": pa}))
+    new = b.conclusion(idx)[1]
     assert new is parse("a || b.(0 + 0)", A)
-    new2, idx2 = b.rewrite(new, (1, 0), "A0", {"x": parse("0", A)})
+    idx2 = b.embed(new, (1, 0), b.axiom("A0", {"x": Nil()}))
+    new2 = b.conclusion(idx2)[1]
     assert new2 is parse("a || b.0", A)
+    with pytest.raises(ProofError):
+        b.embed(new, (1,), idx2)
     final = b.trans([idx, idx2])
     script = b.script(host, new2, final)
     assert check_proof(script, E1)
@@ -253,7 +243,7 @@ def test_splice_children_rewrites_both_sides_in_one_step(emit):
 def test_cong_checks_the_children():
     host = parse("a.(b + 0)", A)
     b = ProofBuilder(E0)
-    _, idx = b.rewrite(host.body, (), "A0", {"x": pb})
+    idx = b.axiom("A0", {"x": pb})
     step = b.cong(host, [idx])
     assert b.conclusion(step) == (host, parse("a.b", A))
     with pytest.raises(ProofError):
@@ -261,10 +251,12 @@ def test_cong_checks_the_children():
 
 
 def test_script_json_round_trip():
-    host = parse("b.(a + 0)", A)
+    host = parse("b.(a + 0) + a.(a + 0)", A)
     b = ProofBuilder(E0)
-    new, idx = b.rewrite(host, (0,), "A0", {"x": pa})
-    script = b.script(host, new, idx)
+    ax = b.axiom("A0", {"x": pa})
+    first = b.embed(host, (0, 0), ax)
+    idx = b.trans([first, b.embed(b.conclusion(first)[1], (1, 0), ax)])
+    script = b.script(host, parse("b.a + a.a", A), idx)
 
     doc = script_to_json(script, system_name="E0")
     assert doc["system"] == "E0"
@@ -273,36 +265,60 @@ def test_script_json_round_trip():
     assert back.lhs is script.lhs and back.rhs is script.rhs
     assert back.steps == script.steps
     assert check_proof(back, E0)
+    # a + 0 is used by the goal and by several steps, each node is one row
+    nodes = {u for t in script_terms(script) for u in postorder(t)}
+    assert len(doc["terms"]) == len(nodes)
+    assert len({json.dumps(row) for row in doc["terms"]}) == len(nodes)
 
 
-def test_step_json_keeps_context_fields():
-    host = parse("b.(a + 0)", A)
-    step = Step("axiom", axiom_id="A0", subst=(("x", pa),), host=host, path=(0,))
-    doc = script_to_json(ProofScript(host, parse("b.a", A), (step,)))
+def test_step_json_writes_terms_as_row_indices():
+    step = Step("axiom", axiom_id="A0", subst=(("x", pa),))
+    doc = script_to_json(ProofScript(Sum(pa, Nil()), pa, (step,)))
+    rows = doc["terms"]
+    nil = rows.index(["0"])
+    a = rows.index([".", "a", nil])
+    assert rows[doc["goal"]["lhs"]] == ["+", a, nil]
+    assert doc["goal"]["rhs"] == a
     (sd,) = doc["steps"]
-    assert sd["host"] == render(host)
-    assert sd["path"] == [0]
-    assert sd["subst"] == {"x": "a.0"}
-    assert sd["axiom"] == "A0" and sd["dir"] == "lr"
+    assert sd == {"rule": "axiom", "subst": {"x": a}, "axiom": "A0", "dir": "lr"}
+    assert all(i < k for k, row in enumerate(rows) for i in row[1:] if type(i) is int)
 
 
 DATA_DIR = Path(str(resources.files("bccsp").joinpath("data")))
 
 
-def step_texts(d: dict) -> list:
-    """(field, text) for every term text in one step's JSON."""
+def step_indexes(d: dict) -> list:
+    """(field, row index) for every term of one step's JSON."""
     out = [("term", d["term"])] if "term" in d else []
-    out += [(f"subst {n}", t) for n, t in sorted(d.get("subst", {}).items())]
-    if "host" in d:
-        out.append(("host", d["host"]))
+    out += [(f"subst {n}", i) for n, i in sorted(d.get("subst", {}).items())]
     return out
 
 
 def step_terms(step: Step) -> list:
     out = [("term", step.term)] if step.term is not None else []
     out += [(f"subst {n}", t) for n, t in step.subst]
-    if step.host is not None:
-        out.append(("host", step.host))
+    return out
+
+
+def script_terms(script: ProofScript) -> list:
+    out = [script.lhs, script.rhs]
+    for step in script.steps:
+        out += [t for _, t in step_terms(step)]
+    return out
+
+
+def row_texts(rows) -> list:
+    """Every row of a terms table written out as fully parenthesised text."""
+    out: list = []
+    for row in rows:
+        if row[0] == "0":
+            out.append("0")
+        elif row[0] == "v":
+            out.append(row[1])
+        elif row[0] == ".":
+            out.append(f"{row[1]}.({out[row[2]]})")
+        else:
+            out.append(f"({out[row[1]]}) {row[0]} ({out[row[2]]})")
     return out
 
 
@@ -312,45 +328,14 @@ def test_shipped_scripts_decode_as_text_by_text_parsing(path):
     alpha = make_alphabet(tuple(payload["alphabet"]))
     for doc in payload["scripts"]:
         back = script_from_json(doc, alpha)
-        assert back.lhs is parse(doc["goal"]["lhs"], alpha)
-        assert back.rhs is parse(doc["goal"]["rhs"], alpha)
+        texts = row_texts(doc["terms"])
+        assert back.lhs is parse(texts[doc["goal"]["lhs"]], alpha)
+        assert back.rhs is parse(texts[doc["goal"]["rhs"]], alpha)
         assert len(back.steps) == len(doc["steps"])
         for d, step in zip(doc["steps"], back.steps):
-            want = [(f, parse(t, alpha)) for f, t in step_texts(d)]
+            want = [(f, parse(texts[i], alpha)) for f, i in step_indexes(d)]
             got = step_terms(step)
             assert [f for f, _ in got] == [f for f, _ in want]
             assert all(g is w for (_, g), (_, w) in zip(got, want)), doc["id"]
-
-
-def refl_script(*texts) -> dict:
-    return {
-        "goal": {"lhs": "a.(a + b)", "rhs": "a.(a + b)"},
-        "steps": [{"rule": "refl", "term": t} for t in texts],
-    }
-
-
-@pytest.mark.parametrize(
-    "bad",
-    [
-        "b.(a +) + a.(a +)",
-        "a.(a + b) + b.(a + b",
-        "a.(a + b))",
-        "b.((a + b) || (a |))",
-        "(a + b) c",
-    ],
-)
-def test_malformed_groups_raise_as_a_fresh_parse_does(bad):
-    with pytest.raises(ParseError) as fresh:
-        parse(bad, A)
-    with pytest.raises(ParseError) as decoded:
-        # the earlier texts put their groups in the memo first
-        script_from_json(refl_script("b.(a + b)", "(a + b) || b", bad), A)
-    assert str(decoded.value) == str(fresh.value)
-
-
-def test_a_group_met_again_decodes_to_the_same_term():
-    back = script_from_json(refl_script("b.( a + b )", "a + b", "(a + b) || a.(a + b)"), A)
-    ab = parse("a + b", A)
-    assert back.steps[0].term is Prefix("b", ab)
-    assert back.steps[1].term is ab
-    assert back.steps[2].term is Par(ab, Prefix("a", ab))
+        nodes = {u for t in script_terms(back) for u in postorder(t)}
+        assert len(doc["terms"]) == len(nodes), doc["id"]

@@ -1,6 +1,5 @@
 import pytest
 from hypothesis import given
-from hypothesis import strategies as st
 
 from bccsp.terms import (
     Nil,
@@ -16,9 +15,7 @@ from bccsp.terms import (
     make_alphabet,
     norm,
     parse,
-    parse_shared,
     render,
-    replace_at,
     size,
     strip_nil,
     substitute,
@@ -69,13 +66,6 @@ def test_parse_rejects_trailing_garbage():
 @given(open_terms)
 def test_render_parse_round_trip(t):
     assert parse(render(t), A) is t
-
-
-@given(st.lists(open_terms, min_size=1, max_size=4))
-def test_parse_shared_agrees_with_parse_under_one_memo(ts):
-    memo: dict = {}
-    for t in ts + [Par(t, Prefix("a", t)) for t in ts]:
-        assert parse_shared(render(t), A, memo) is t
 
 
 def test_size_counts_every_operator():
@@ -156,12 +146,10 @@ def test_strip_nil_clean(t):
     assert clean(strip_nil(t))
 
 
-def test_subterm_replace_round_trip():
+def test_subterm_at():
     t = parse("a.(b + c) || a", A3)
     assert subterm_at(t, (0, 0, 1)) is parse("c", A3)
-    u = replace_at(t, (0, 0, 1), Nil())
-    assert render(u) == "a.(b.0 + 0) || a.0"
-    assert subterm_at(u, ()) is u
+    assert subterm_at(t, ()) is t
     with pytest.raises(IndexError):
         subterm_at(t, (2,))
 
