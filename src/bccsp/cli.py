@@ -25,14 +25,7 @@ from .axioms import (
     saturate,
 )
 from .eliminate import eliminate
-from .equivalences import (
-    FLAT_RELATIONS,
-    Refuted,
-    equivalent,
-    nested_sim_eq,
-    nested_trace_eq,
-    spectrum_vector,
-)
+from .equivalences import FLAT_RELATIONS, Refuted, equivalent, spectrum_vector
 from .models import FiniteModel, fixture_model, independence_report, search_model
 from .proofs import check_proof, script_from_json, script_to_json
 from .semantics import TransitionMode, build_lts, lts_dot, lts_json
@@ -136,12 +129,7 @@ def _cmd_equiv(args) -> int:
     alpha = _alphabet(args)
     p, q = parse(args.p, alpha), parse(args.q, alpha)
     rel = args.rel
-    if rel.startswith("NT") or rel.startswith("NS"):
-        level = int(rel[2:])
-        fn = nested_trace_eq if rel.startswith("NT") else nested_sim_eq
-        verdict = fn(p, q, level, _mode(args), alpha)
-    else:
-        verdict = equivalent(p, q, rel, alphabet=alpha, mode=_mode(args))
+    verdict = equivalent(p, q, rel, alphabet=alpha, mode=_mode(args))
     _emit(
         args,
         {"relation": rel, "p": render(p), "q": render(q), "equivalent": verdict},

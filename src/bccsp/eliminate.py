@@ -38,6 +38,8 @@ from .terms import (
     Prefix,
     Sum,
     Term,
+    cached,
+    children,
     free_vars,
     render,
     size,
@@ -77,19 +79,17 @@ def family_of(system_name: str) -> str:
 def par_free(t: Term) -> bool:
     """True when t has no parallel composition. The answer is cached on the
     node, so a subterm shared across the DAG is looked at once."""
-    c = t.cache()
-    got = c.get("par_free")
-    if got is None:
-        if isinstance(t, Par):
-            got = False
-        elif isinstance(t, Prefix):
-            got = par_free(t.body)
-        elif isinstance(t, Sum):
-            got = par_free(t.left) and par_free(t.right)
-        else:
-            got = True
-        c["par_free"] = got
-    return got
+    return cached(t, "par_free", _par_free, children)
+
+
+def _par_free(t: Term) -> bool:
+    if isinstance(t, Par):
+        return False
+    if isinstance(t, Prefix):
+        return par_free(t.body)
+    if isinstance(t, Sum):
+        return par_free(t.left) and par_free(t.right)
+    return True
 
 
 class _Context:

@@ -17,13 +17,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import observations
-from .semantics import TransitionMode, initials, multi_derivatives, transitions
+from .semantics import TransitionMode, _mode_key, initials, multi_derivatives, transitions
 from .terms import (
     Alphabet,
     Nil,
     Prefix,
     Sum,
     Term,
+    cached,
     depth,
     free_vars,
     render,
@@ -67,12 +68,6 @@ _PAIR_CACHES = (_sim_memo, _bisim_memo, _ntr_memo, _nsim_memo)
 def clear_pair_caches() -> None:
     for c in _PAIR_CACHES:
         c.clear()
-
-
-def _mode_key(mode, alphabet):
-    if mode is TransitionMode.INTERLEAVING:
-        return "i"
-    return ("s", alphabet)
 
 
 def parse_relation(rel):
@@ -186,15 +181,14 @@ def bisimilar(p, q, mode=TransitionMode.INTERLEAVING, alphabet=None) -> bool:
 
 def _grouped_derivatives(t, mode, alphabet):
     key = ("mdg", _mode_key(mode, alphabet))
-    c = t.cache()
-    got = c.get(key)
-    if got is None:
-        acc: dict = {}
-        for seq, u in multi_derivatives(t, mode, alphabet):
-            acc.setdefault(seq, set()).add(u)
-        got = {seq: frozenset(us) for seq, us in acc.items()}
-        c[key] = got
-    return got
+    return cached(t, key, _group_derivatives, None, mode, alphabet)
+
+
+def _group_derivatives(t, mode, alphabet):
+    acc: dict = {}
+    for seq, u in multi_derivatives(t, mode, alphabet):
+        acc.setdefault(seq, set()).add(u)
+    return {seq: frozenset(us) for seq, us in acc.items()}
 
 
 def nested_trace_eq(p, q, n, mode=TransitionMode.INTERLEAVING, alphabet=None) -> bool:

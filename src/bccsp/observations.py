@@ -19,8 +19,8 @@ from __future__ import annotations
 
 import json
 
-from .semantics import TransitionMode, initials, multi_derivatives, traces, transitions
-from .terms import Alphabet, Term
+from .semantics import TransitionMode, initials, multi_derivatives, successors, traces, transitions
+from .terms import Alphabet, Term, cached
 
 __all__ = [
     "OBSERVATION_KINDS",
@@ -66,38 +66,31 @@ def ready_pairs(t, alphabet=None, mode=TransitionMode.INTERLEAVING):
 
 
 def failure_traces(t, alphabet, mode=TransitionMode.INTERLEAVING):
-    labels = _labels(alphabet)
-    memo_key = ("obsFT", alphabet, mode)
-    c = t.cache()
-    got = c.get(memo_key)
-    if got is not None:
-        return got
+    return cached(t, ("obsFT", alphabet, mode), _failure_traces, successors, mode, alphabet)
+
+
+def _failure_traces(t, mode, alphabet):
     menu = initials(t, mode, alphabet)
-    refusals = tuple(_subsets(a for a in labels if a not in menu))
+    refusals = tuple(_subsets(a for a in _labels(alphabet) if a not in menu))
     acc = {(x,) for x in refusals}
     for a, u in transitions(t, mode, alphabet):
         for rest in failure_traces(u, alphabet, mode):
             for x in refusals:
                 acc.add((x, a) + rest)
-    out = frozenset(acc)
-    c[memo_key] = out
-    return out
+    return frozenset(acc)
 
 
 def ready_traces(t, alphabet=None, mode=TransitionMode.INTERLEAVING):
-    memo_key = ("obsRT", alphabet, mode)
-    c = t.cache()
-    got = c.get(memo_key)
-    if got is not None:
-        return got
+    return cached(t, ("obsRT", alphabet, mode), _ready_traces, successors, mode, alphabet)
+
+
+def _ready_traces(t, mode, alphabet):
     menu = initials(t, mode, alphabet)
     acc = {(menu,)}
     for a, u in transitions(t, mode, alphabet):
         for rest in ready_traces(u, alphabet, mode):
             acc.add((menu, a) + rest)
-    out = frozenset(acc)
-    c[memo_key] = out
-    return out
+    return frozenset(acc)
 
 
 def possible_futures(t, alphabet=None, mode=TransitionMode.INTERLEAVING):

@@ -46,12 +46,15 @@ from .terms import (
     Sum,
     Term,
     Var,
+    cached,
     children,
     postorder,
     render,
     size,
     substitute,
     subterm_at,
+    sum_leaves,
+    sum_of,
 )
 
 __all__ = [
@@ -227,24 +230,6 @@ def replay_conclusions(script: ProofScript, system: AxiomSystem) -> list:
 # Normal form under the choice laws
 
 
-def _is_nil(t: Term) -> bool:
-    return isinstance(t, Nil)
-
-
-def _flat_leaves(t: Term) -> list:
-    out = []
-
-    def walk(u):
-        if isinstance(u, Sum):
-            walk(u.left)
-            walk(u.right)
-        else:
-            out.append(u)
-
-    walk(t)
-    return out
-
-
 def _summand_key(t: Term) -> str:
     """The order in which a normal form lists its summands; `canon` and the
     merge in `ProofBuilder` both sort by it."""
@@ -254,31 +239,29 @@ def _summand_key(t: Term) -> str:
 def canon(t: Term) -> Term:
     """Normal form modulo A0, A1, A2, A3: sums are flattened, the summands
     normalised, 0 summands dropped, duplicates removed, and the rest sorted
-    and re-associated to the left. No laws of parallel are used."""
-    c = t.cache()
-    got = c.get("canon")
-    if got is not None:
-        return got
+    and re-associated to the left. No laws of parallel are used. Cached per
+    node; a sum's entry is computed from the normal forms of its leaves
+    (`sum_leaves`), not from those of the sums between them, which would
+    rebuild a comb of n summands once per level."""
+    return cached(t, "canon", _canon, _canon_successors)
+
+
+def _canon_successors(t: Term):
+    return sum_leaves(t) if isinstance(t, Sum) else children(t)
+
+
+def _canon(t: Term) -> Term:
     if isinstance(t, Prefix):
-        out = Prefix(t.action, canon(t.body))
-    elif isinstance(t, Par):
-        out = Par(canon(t.left), canon(t.right))
-    elif isinstance(t, Sum):
-        leaves = [canon(u) for u in _flat_leaves(t)]
+        return Prefix(t.action, canon(t.body))
+    if isinstance(t, Par):
+        return Par(canon(t.left), canon(t.right))
+    if isinstance(t, Sum):
         keep = []
-        for u in sorted((u for u in leaves if not _is_nil(u)), key=_summand_key):
-            if not keep or keep[-1] is not u:
+        for u in sorted((canon(u) for u in sum_leaves(t)), key=_summand_key):
+            if not isinstance(u, Nil) and (not keep or keep[-1] is not u):
                 keep.append(u)
-        if not keep:
-            out = Nil()
-        else:
-            out = keep[0]
-            for u in keep[1:]:
-                out = Sum(out, u)
-    else:
-        out = t
-    c["canon"] = out
-    return out
+        return sum_of(keep)
+    return t
 
 
 # ---------------------------------------------------------------------------

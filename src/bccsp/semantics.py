@@ -15,13 +15,14 @@ import enum
 import json
 from dataclasses import dataclass
 
-from .terms import Alphabet, Nil, Par, Prefix, Sum, Term, Var, render
+from .terms import Alphabet, Nil, Par, Prefix, Sum, Term, Var, cached, operands, render
 
 __all__ = [
     "TransitionMode",
     "transitions",
     "initials",
     "derivatives",
+    "successors",
     "multi_derivatives",
     "traces",
     "completed_traces",
@@ -51,18 +52,17 @@ def transitions(
     alphabet: Alphabet | None = None,
 ) -> frozenset:
     """The set of pairs (label, derivative) the term can perform."""
-    key = _mode_key(mode, alphabet)
-    c = t.cache()
-    out = c.get(key)
-    if out is not None:
-        return out
+    return cached(t, _mode_key(mode, alphabet), _transitions, operands, mode, alphabet)
+
+
+def _transitions(t: Term, mode: TransitionMode, alphabet: Alphabet | None) -> frozenset:
     if isinstance(t, (Nil, Var)):
-        out = frozenset()
-    elif isinstance(t, Prefix):
-        out = frozenset(((t.action, t.body),))
-    elif isinstance(t, Sum):
-        out = transitions(t.left, mode, alphabet) | transitions(t.right, mode, alphabet)
-    elif isinstance(t, Par):
+        return frozenset()
+    if isinstance(t, Prefix):
+        return frozenset(((t.action, t.body),))
+    if isinstance(t, Sum):
+        return transitions(t.left, mode, alphabet) | transitions(t.right, mode, alphabet)
+    if isinstance(t, Par):
         lt = transitions(t.left, mode, alphabet)
         rt = transitions(t.right, mode, alphabet)
         moves = set()
@@ -78,11 +78,14 @@ def transitions(
                 for b, r2 in rt:
                     if b == abar:
                         moves.add((alphabet.tau, Par(l2, r2)))
-        out = frozenset(moves)
-    else:
-        raise TypeError(f"not a term: {t!r}")
-    c[key] = out
-    return out
+        return frozenset(moves)
+    raise TypeError(f"not a term: {t!r}")
+
+
+def successors(t: Term, mode: TransitionMode, alphabet: Alphabet | None) -> list:
+    """The derivatives of t under any label: the successors whose entries
+    every derivation-based set of t is computed from."""
+    return [u for _, u in transitions(t, mode, alphabet)]
 
 
 def _sorted_transitions(t, mode, alphabet):
@@ -94,6 +97,10 @@ def initials(
     mode: TransitionMode = TransitionMode.INTERLEAVING,
     alphabet: Alphabet | None = None,
 ) -> frozenset:
+    return cached(t, ("in", _mode_key(mode, alphabet)), _initials, None, mode, alphabet)
+
+
+def _initials(t: Term, mode: TransitionMode, alphabet: Alphabet | None) -> frozenset:
     return frozenset(a for a, _ in transitions(t, mode, alphabet))
 
 
@@ -109,17 +116,15 @@ def multi_derivatives(
     """All pairs (sequence, derivative) with t reachable to the derivative by
     the action sequence. Includes ((), t) itself."""
     key = ("md", _mode_key(mode, alphabet))
-    c = t.cache()
-    out = c.get(key)
-    if out is not None:
-        return out
+    return cached(t, key, _multi_derivatives, successors, mode, alphabet)
+
+
+def _multi_derivatives(t: Term, mode: TransitionMode, alphabet: Alphabet | None) -> frozenset:
     acc = {((), t)}
     for a, u in transitions(t, mode, alphabet):
         for seq, v in multi_derivatives(u, mode, alphabet):
             acc.add(((a,) + seq, v))
-    out = frozenset(acc)
-    c[key] = out
-    return out
+    return frozenset(acc)
 
 
 def traces(
@@ -128,18 +133,15 @@ def traces(
     alphabet: Alphabet | None = None,
 ) -> frozenset:
     """All action sequences the term can perform, as tuples. Always has ()."""
-    key = ("T", _mode_key(mode, alphabet))
-    c = t.cache()
-    out = c.get(key)
-    if out is not None:
-        return out
+    return cached(t, ("T", _mode_key(mode, alphabet)), _traces, successors, mode, alphabet)
+
+
+def _traces(t: Term, mode: TransitionMode, alphabet: Alphabet | None) -> frozenset:
     acc = {()}
     for a, u in transitions(t, mode, alphabet):
         for s in traces(u, mode, alphabet):
             acc.add((a,) + s)
-    out = frozenset(acc)
-    c[key] = out
-    return out
+    return frozenset(acc)
 
 
 def completed_traces(
@@ -149,21 +151,18 @@ def completed_traces(
 ) -> frozenset:
     """Action sequences leading to a state with no transitions."""
     key = ("CT", _mode_key(mode, alphabet))
-    c = t.cache()
-    out = c.get(key)
-    if out is not None:
-        return out
+    return cached(t, key, _completed_traces, successors, mode, alphabet)
+
+
+def _completed_traces(t: Term, mode: TransitionMode, alphabet: Alphabet | None) -> frozenset:
     tr = transitions(t, mode, alphabet)
     if not tr:
-        out = frozenset(((),))
-    else:
-        acc = set()
-        for a, u in tr:
-            for s in completed_traces(u, mode, alphabet):
-                acc.add((a,) + s)
-        out = frozenset(acc)
-    c[key] = out
-    return out
+        return frozenset(((),))
+    acc = set()
+    for a, u in tr:
+        for s in completed_traces(u, mode, alphabet):
+            acc.add((a,) + s)
+    return frozenset(acc)
 
 
 # ---------------------------------------------------------------------------

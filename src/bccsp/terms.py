@@ -2,10 +2,12 @@
 
 Terms are immutable and hash-consed. Building the same shape twice yields the
 same object, so syntactic equality is identity and terms can be used as dict
-keys at no cost. Per-node analysis results (metrics, free variables, rendered
-text, transition sets) are cached on the node itself and die with it. The
-rendered text and the metrics are filled in from an explicit stack, so a
-deep term costs heap, not Python call frames.
+keys at no cost. Every per-node analysis result (metrics, free variables,
+rendered text, transition sets, observation sets, normal forms) is cached
+on the node itself and dies with it, and every one goes through `cached`:
+a miss fills the entries of the node's missing successors from an explicit
+stack, successors first, so a deep term or a long derivation costs heap,
+not Python call frames.
 """
 
 from __future__ import annotations
@@ -26,7 +28,9 @@ __all__ = [
     "parse",
     "render",
     "children",
+    "operands",
     "postorder",
+    "cached",
     "size",
     "depth",
     "norm",
@@ -34,6 +38,7 @@ __all__ = [
     "actions_of",
     "substitute",
     "summands",
+    "sum_leaves",
     "sum_of",
     "is_nil_term",
     "strip_nil",
@@ -51,11 +56,8 @@ class Term:
     __slots__ = ("__weakref__", "_cache")
 
     def cache(self) -> dict:
-        c = self._cache
-        if c is None:
-            c = {}
-            object.__setattr__(self, "_cache", c)
-        return c
+        """The node's per-node results by key; `cached` fills it."""
+        return self._cache
 
     def __repr__(self) -> str:
         return render(self)
@@ -69,7 +71,7 @@ def _intern(cls, key, init):
     if t is not None:
         return t
     t = object.__new__(cls)
-    object.__setattr__(t, "_cache", None)
+    object.__setattr__(t, "_cache", {})
     init(t)
     # setdefault keeps the first instance if two threads race here
     return _pool.setdefault(key, t)
@@ -168,15 +170,42 @@ def postorder(t: Term, known=lambda u: False) -> list:
     return order
 
 
-def _fill(t: Term, key: str, compute):
-    """Cache compute(u) under key on t, which lacks it, and first on every
-    node below t that lacks it, children before parents: compute may look
-    up the children's entries. Returns t's entry."""
-    if any(k._cache is None or key not in k._cache for k in children(t)):
-        for u in postorder(t, lambda u: u._cache is not None and key in u._cache)[:-1]:
-            u.cache()[key] = compute(u)
-    v = t.cache()[key] = compute(t)
-    return v
+def operands(t: Term, *_args) -> tuple:
+    """Both sides of a sum or a parallel composition, none for other nodes;
+    the further arguments of a `cached` analysis are ignored."""
+    if isinstance(t, (Sum, Par)):
+        return (t.left, t.right)
+    return ()
+
+
+def cached(t: Term, key, compute, succ, *args):
+    """The entry of t under key: looked up on the node, or else computed as
+    compute(t, *args) and stored there. compute may read the entries of the
+    nodes succ(t, *args) lists and of no other node; succ is None when it
+    reads none. On a miss the missing entries below t are filled first, each
+    node after its successors, from an explicit stack, so any depth of term
+    or derivation costs a constant number of call frames. compute never
+    returns None, which marks a miss.
+    """
+    c = t._cache
+    got = c.get(key)
+    if got is not None:
+        return got
+    kids = () if succ is None else succ(t, *args)
+    if kids:
+        path = [(t, iter(kids))]
+        while path:
+            u, todo = path[-1]
+            for v in todo:
+                if key not in v._cache:
+                    path.append((v, iter(succ(v, *args))))
+                    break
+            else:
+                path.pop()
+                if path:
+                    u._cache[key] = compute(u, *args)
+    got = c[key] = compute(t, *args)
+    return got
 
 
 # ---------------------------------------------------------------------------
@@ -189,7 +218,8 @@ class Alphabet:
 
     In sync mode the set is closed under a complementation bijection and a
     distinguished silent action (outside the set proper) is available for
-    communication results.
+    communication results. The hash is computed once: alphabets sit in the
+    keys of cache lookups. Equality stays field-wise.
     """
 
     actions: tuple[str, ...]
@@ -218,6 +248,12 @@ class Alphabet:
         else:
             if self.complements or self.tau is not None:
                 raise ValueError("complements and tau require sync mode")
+        object.__setattr__(
+            self, "_hash", hash((self.actions, self.sync_mode, self.complements, self.tau))
+        )
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def complement(self, a: str) -> str:
         for x, y in self.complements:
@@ -325,38 +361,40 @@ class _Parser:
                 return t
 
     def parse_item(self) -> Term:
-        self.skip_ws()
-        c = self.peek()
-        if c == "0":
-            self.pos += 1
-            return Nil()
-        if c == "(":
-            self.pos += 1
-            t = self.parse_sum()
+        actions = []  # a prefix chain costs a loop turn per prefix, not a call frame
+        while True:
             self.skip_ws()
-            if not self.eat(")"):
-                self.error("expected ')'")
+            c = self.peek()
+            if c == "0":
+                self.pos += 1
+                t = Nil()
+            elif c == "(":
+                self.pos += 1
+                t = self.parse_sum()
+                self.skip_ws()
+                if not self.eat(")"):
+                    self.error("expected ')'")
+            elif c in _IDENT_START:
+                at = self.pos
+                name = self.ident()
+                if name == "tau" and not self.alphabet.sync_mode:
+                    self.pos = at
+                    self.error("'tau' is only an action in sync mode")
+                if self.alphabet.has_action(name):
+                    if self.eat("."):
+                        actions.append(name)
+                        continue
+                    t = Prefix(name, Nil())  # bare action shorthand
+                elif self.peek() == "." or "'" in name:
+                    self.pos = at
+                    self.error(f"unknown action {name!r}")
+                else:
+                    t = Var(name)
+            else:
+                self.error("expected a term")
+            for a in reversed(actions):
+                t = Prefix(a, t)
             return t
-        if c in _IDENT_START:
-            at = self.pos
-            name = self.ident()
-            if name == self.alphabet.tau and self.alphabet.sync_mode:
-                pass  # silent action, handled as an action below
-            elif name == "tau" and not self.alphabet.sync_mode:
-                self.pos = at
-                self.error("'tau' is only an action in sync mode")
-            if self.alphabet.has_action(name):
-                if self.eat("."):
-                    return Prefix(name, self.parse_item())
-                return Prefix(name, Nil())  # bare action shorthand
-            if self.peek() == ".":
-                self.pos = at
-                self.error(f"unknown action {name!r}")
-            if "'" in name:
-                self.pos = at
-                self.error(f"unknown action {name!r}")
-            return Var(name)
-        self.error("expected a term")
 
 
 def parse(text: str, alphabet: Alphabet) -> Term:
@@ -377,11 +415,7 @@ def parse(text: str, alphabet: Alphabet) -> Term:
 
 
 def render(t: Term) -> str:
-    c = t.cache()
-    r = c.get("render")
-    if r is None:
-        r = _fill(t, "render", _render)
-    return r
+    return cached(t, "render", _render, children)
 
 
 def _render(t: Term) -> str:
@@ -417,11 +451,7 @@ def _render(t: Term) -> str:
 
 def _metrics(t: Term) -> tuple[int, int, int]:
     """(size, depth, norm) computed once per node."""
-    c = t.cache()
-    m = c.get("metrics")
-    if m is None:
-        m = _fill(t, "metrics", _metrics_of)
-    return m
+    return cached(t, "metrics", _metrics_of, children)
 
 
 def _metrics_of(t: Term) -> tuple[int, int, int]:
@@ -453,34 +483,30 @@ def norm(t: Term) -> int:
 
 
 def free_vars(t: Term) -> frozenset:
-    c = t.cache()
-    fv = c.get("fv")
-    if fv is None:
-        if isinstance(t, Var):
-            fv = frozenset((t.name,))
-        elif isinstance(t, Nil):
-            fv = frozenset()
-        elif isinstance(t, Prefix):
-            fv = free_vars(t.body)
-        else:
-            fv = free_vars(t.left) | free_vars(t.right)
-        c["fv"] = fv
-    return fv
+    return cached(t, "fv", _free_vars, children)
+
+
+def _free_vars(t: Term) -> frozenset:
+    if isinstance(t, Var):
+        return frozenset((t.name,))
+    if isinstance(t, Nil):
+        return frozenset()
+    if isinstance(t, Prefix):
+        return free_vars(t.body)
+    return free_vars(t.left) | free_vars(t.right)
 
 
 def actions_of(t: Term) -> frozenset:
     """All action names occurring in prefixes of t."""
-    c = t.cache()
-    acts = c.get("acts")
-    if acts is None:
-        if isinstance(t, (Nil, Var)):
-            acts = frozenset()
-        elif isinstance(t, Prefix):
-            acts = actions_of(t.body) | {t.action}
-        else:
-            acts = actions_of(t.left) | actions_of(t.right)
-        c["acts"] = acts
-    return acts
+    return cached(t, "acts", _actions_of, children)
+
+
+def _actions_of(t: Term) -> frozenset:
+    if isinstance(t, (Nil, Var)):
+        return frozenset()
+    if isinstance(t, Prefix):
+        return actions_of(t.body) | {t.action}
+    return actions_of(t.left) | actions_of(t.right)
 
 
 # ---------------------------------------------------------------------------
@@ -528,18 +554,23 @@ def summands(t: Term) -> list:
     duplicates kept. No returned term has Sum at the head. The list is empty
     exactly when t is a 0, or a sum tree all of whose leaves are 0.
     """
-    leaves = []
-
-    def walk(u):
-        if isinstance(u, Sum):
-            walk(u.left)
-            walk(u.right)
-        elif not isinstance(u, Nil):
-            leaves.append(u)
-
-    walk(t)
+    leaves = [u for u in sum_leaves(t) if not isinstance(u, Nil)]
     leaves.sort(key=render)
     return leaves
+
+
+def sum_leaves(t: Term) -> list:
+    """The maximal subterms of t that are not sums, left to right, with
+    repeats: [t] itself unless t is a sum. The walk keeps its own stack, so
+    a long chain of sums costs no call frames."""
+    out, stack = [], [t]
+    while stack:
+        u = stack.pop()
+        if isinstance(u, Sum):
+            stack += (u.right, u.left)
+        else:
+            out.append(u)
+    return out
 
 
 def sum_of(ts) -> Term:
@@ -561,13 +592,16 @@ def is_nil_term(t: Term) -> bool:
     """True for terms built from 0 with + and || only (no prefix, no variable).
 
     These are exactly the terms with no transitions and no variables, and they
-    are all equal to 0 in every semantics considered here.
+    are all equal to 0 in every semantics considered here. Cached per node
+    over the operands of + and ||; a prefix's body is never looked at.
     """
-    if isinstance(t, Nil):
-        return True
+    return cached(t, "nil", _is_nil_term, operands)
+
+
+def _is_nil_term(t: Term) -> bool:
     if isinstance(t, (Sum, Par)):
         return is_nil_term(t.left) and is_nil_term(t.right)
-    return False
+    return isinstance(t, Nil)
 
 
 def strip_nil(t: Term) -> Term:
@@ -576,29 +610,19 @@ def strip_nil(t: Term) -> Term:
     The result has no subterm u + v or u || v with u or v a pure 0 term,
     unless the whole term collapses to 0. Prefix bodies are rewritten too.
     """
-    c = t.cache()
-    r = c.get("strip")
-    if r is None:
-        if isinstance(t, (Nil, Var)):
-            r = t
-        elif isinstance(t, Prefix):
-            r = Prefix(t.action, strip_nil(t.body))
-        elif isinstance(t, Sum):
-            if is_nil_term(t.left):
-                r = strip_nil(t.right)
-            elif is_nil_term(t.right):
-                r = strip_nil(t.left)
-            else:
-                r = Sum(strip_nil(t.left), strip_nil(t.right))
-        else:
-            if is_nil_term(t.left):
-                r = strip_nil(t.right)
-            elif is_nil_term(t.right):
-                r = strip_nil(t.left)
-            else:
-                r = Par(strip_nil(t.left), strip_nil(t.right))
-        c["strip"] = r
-    return r
+    return cached(t, "strip", _strip_nil, children)
+
+
+def _strip_nil(t: Term) -> Term:
+    if isinstance(t, (Nil, Var)):
+        return t
+    if isinstance(t, Prefix):
+        return Prefix(t.action, strip_nil(t.body))
+    if is_nil_term(t.left):
+        return strip_nil(t.right)
+    if is_nil_term(t.right):
+        return strip_nil(t.left)
+    return type(t)(strip_nil(t.left), strip_nil(t.right))
 
 
 # ---------------------------------------------------------------------------

@@ -50,6 +50,20 @@ def test_unknown_options_and_bad_terms_are_usage_errors(capsys):
     capsys.readouterr()
 
 
+def test_deep_prefix_chains_parse_and_compare(capsys):
+    assert main(["parse", "a." * 990 + "0"]) == 0
+    assert capsys.readouterr().out.startswith("a." * 990)
+    assert main(["equiv", "CT", "a." * 1000 + "0", "a." * 999 + "b"]) == 1
+    assert capsys.readouterr().out.strip() == "CT: not equivalent"
+
+
+def test_equiv_takes_nested_relations_by_name(capsys):
+    assert main(["equiv", "NS2", "a.(a + b)", "a.a + a.b"]) == 1
+    assert capsys.readouterr().out.strip() == "NS2: not equivalent"
+    assert main(["equiv", "NTx", "a", "b"]) == 2
+    assert capsys.readouterr().err.strip() == "error: unknown relation 'NTx'"
+
+
 def test_json_output_carries_the_proof_written_out(tmp_path, capsys):
     out = tmp_path / "proof.json"
     argv = ["eliminate", "a || b", "--system", "E_RS", "--emit", "json"]

@@ -1,0 +1,90 @@
+"""Per-node analyses on terms far deeper than the call stack allows.
+
+Each case runs with the recursion limit set to the caller's depth plus 300
+frames, so an analysis that recurses once per level of a 1,000-level term,
+or once per step of a 300-step derivation, fails here with RecursionError.
+"""
+
+import inspect
+import sys
+from pathlib import Path
+
+import pytest
+
+from bccsp.eliminate import par_free
+from bccsp.equivalences import equivalent
+from bccsp.proofs import canon
+from bccsp.semantics import initials
+from bccsp.terms import (
+    Nil,
+    Prefix,
+    Sum,
+    Var,
+    actions_of,
+    free_vars,
+    is_nil_term,
+    make_alphabet,
+    strip_nil,
+    sum_of,
+    summands,
+)
+
+A = make_alphabet(("a", "b"))
+NIL = Nil()
+A0, B0 = Prefix("a", NIL), Prefix("b", NIL)
+
+
+def chain(n, inner):
+    """a.a. ... .a.inner with n prefixes, built without the parser."""
+    for _ in range(n):
+        inner = Prefix("a", inner)
+    return inner
+
+
+@pytest.fixture
+def shallow_stack():
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack()) + 300)
+    try:
+        yield
+    finally:
+        sys.setrecursionlimit(old)
+
+
+def test_syntactic_analyses_of_a_deep_chain(shallow_stack):
+    assert free_vars(chain(1000, Var("x"))) == {"x"}
+    assert actions_of(chain(1000, B0)) == {"a", "b"}
+    assert strip_nil(chain(1000, Sum(NIL, Var("x")))) is chain(1000, Var("x"))
+    assert canon(chain(1000, Sum(B0, A0))) is chain(1000, Sum(A0, B0))
+    assert par_free(chain(1000, NIL))
+
+
+def test_analyses_of_a_long_sum(shallow_stack):
+    # summands a.x0999 ... a.x0000, in the reverse of their sorted order
+    leaves = [Prefix("a", Var(f"x{i:04d}")) for i in reversed(range(1000))]
+    t = sum_of(leaves)
+    assert summands(t) == leaves[::-1]
+    assert canon(Sum(t, t)) is sum_of(leaves[::-1])
+    assert initials(sum_of([A0, B0] * 500)) == {"a", "b"}
+    assert is_nil_term(sum_of([NIL] * 1000))
+
+
+@pytest.mark.parametrize("rel", ["T", "CT", "F", "R", "RT", "PF"])
+def test_decorated_trace_equivalences_of_deep_chains(shallow_stack, rel):
+    p, q = chain(300, Sum(A0, B0)), chain(300, Sum(B0, A0))
+    assert equivalent(p, q, rel, A)
+    assert not equivalent(p, chain(300, A0), rel, A)
+
+
+def test_only_terms_touches_the_node_caches():
+    # every per-node result goes through terms.cached, so no other module
+    # may keep a memo of its own on the nodes
+    src = Path(__file__).resolve().parent.parent / "src" / "bccsp"
+    offenders = [
+        f"{path.name}:{n}"
+        for path in sorted(src.glob("*.py"))
+        if path.name != "terms.py"
+        for n, line in enumerate(path.read_text().splitlines(), 1)
+        if ".cache()" in line or "._cache" in line
+    ]
+    assert offenders == []

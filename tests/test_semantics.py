@@ -101,6 +101,13 @@ def test_sync_needs_sync_alphabet():
         transitions(parse("a || b", A), SYNC, None)
 
 
+def test_equal_alphabets_share_cache_entries():
+    S1, S2 = make_alphabet(("a",), sync=True), make_alphabet(("a",), sync=True)
+    assert S1 is not S2 and S1 == S2 and hash(S1) == hash(S2)
+    t = parse("a || a'", S1)
+    assert transitions(t, SYNC, S1) is transitions(t, SYNC, S2)
+
+
 def test_tau_never_synchronises():
     S = make_alphabet(("a",), sync=True)
     t = parse("tau.0 || tau.0", S)
