@@ -6,18 +6,30 @@ valuations, which is what makes the models usable as independence proofs: a
 model satisfying every axiom of a system while refuting a goal equation shows
 the goal is not derivable from the system.
 
+Terms are read in one format, the node table (`_compile`): each distinct node
+of an equation's sides is one row, and a row refers only to earlier rows. One
+evaluator (`_evaluate`) runs a table over a slice of the row-major valuation
+grid, a list of values per row: `FiniteModel.eval` runs a slice of one point,
+`counter_valuation` walks the grid in slices of at most `_SLICE` points, and
+the search grounds each block of variables as one slice. Neither the compiler
+nor the evaluator uses a call frame per level of a term.
+
 `search_model` looks for such a model by backtracking over table cells in
 three layers: the + cells, then the prefix cells, then the || cells. On
 entering a layer, the equations whose deepest operator lives there are ground
-over all valuations and partially evaluated against the tables already fixed;
-identical residual constraints are merged, which collapses the n^k raw
-instances of the wide schemas into a few hundred distinct constraints. Within
-a layer the constraints are watched: each suspends on the first unassigned
-cell its evaluation needs and is re-run when that cell is filled. A constraint
-whose one side is a single free cell and whose other side has become a value
-forces that cell, so the expansion laws propagate most of the || table instead
-of leaving it to enumeration. Symmetry is broken by fixing the zero element
-and introducing carrier elements in first-use order.
+over all valuations and partially evaluated against the tables already fixed:
+the node table of such an equation has the layer's atoms as leaves, the
+maximal subterms free of the layer's operator, whose values the finished
+layers fix. Identical residual constraints are merged, which collapses the
+n^k raw instances of the wide schemas into a few hundred distinct
+constraints. Within a layer the constraints are watched: each suspends on the
+first unassigned cell its evaluation needs and is re-run when that cell is
+filled. An axiom constraint whose one side is a single free cell and whose
+other side has become a value forces that cell, so the expansion laws
+propagate most of the || table instead of leaving it to enumeration; a goal
+constraint forces nothing, since only one goal instance needs to fail.
+Symmetry is broken by fixing the zero element and introducing carrier
+elements in first-use order.
 """
 
 from __future__ import annotations
@@ -28,7 +40,20 @@ from dataclasses import dataclass
 from importlib import resources
 
 from .axioms import Equation
-from .terms import Nil, Par, Prefix, Sum, Term, Var, free_vars, render
+from .terms import (
+    Nil,
+    Par,
+    Prefix,
+    Sum,
+    Term,
+    Var,
+    actions_of,
+    cached,
+    children,
+    free_vars,
+    postorder,
+    render,
+)
 
 __all__ = [
     "FiniteModel",
@@ -70,23 +95,15 @@ class FiniteModel:
                 raise ValueError(f"bad {name} table")
 
     def eval(self, t: Term, valuation: dict) -> int:
-        """Homomorphic evaluation of a term under a variable valuation."""
-        if isinstance(t, Nil):
-            return self.zero
-        if isinstance(t, Var):
-            try:
-                return valuation[t.name]
-            except KeyError:
-                raise ValueError(f"valuation misses variable {t.name}") from None
-        if isinstance(t, Prefix):
-            try:
-                row = self.prefix[t.action]
-            except KeyError:
-                raise ValueError(f"model has no table for action {t.action!r}") from None
-            return row[self.eval(t.body, valuation)]
-        if isinstance(t, Sum):
-            return self.plus[self.eval(t.left, valuation)][self.eval(t.right, valuation)]
-        return self.par[self.eval(t.left, valuation)][self.eval(t.right, valuation)]
+        """Homomorphic evaluation of a term under a variable valuation: its
+        node table run over a slice of one point."""
+        names = sorted(free_vars(t))
+        for name in names:
+            if name not in valuation:
+                raise ValueError(f"valuation misses variable {name}")
+        rows, (root,), _ = self._table((t,), names)
+        cols = [[valuation[name]] for name in names]
+        return _evaluate(rows, cols, 1, self.zero, self.prefix, self.plus, self.par)[root][0]
 
     def holds(self, eq: Equation) -> bool:
         """Whether the equation holds under every valuation."""
@@ -95,14 +112,32 @@ class FiniteModel:
     def counter_valuation(self, eq: Equation):
         """The first valuation, in lexicographic order over the sorted
         variables, where the two sides evaluate differently. None if the
-        equation holds."""
+        equation holds. The last variables span a slice of at most _SLICE
+        points; the first ones take each of their values in turn."""
         names = eq.vars
-        prog = _compile_pair(eq, names)
-        for values in itertools.product(range(self.carrier), repeat=len(names)):
-            l, r = _run_total(prog, values, self)
-            if l != r:
-                return dict(zip(names, values))
+        rows, (l, r), _ = self._table((eq.lhs, eq.rhs), names)
+        n, k = self.carrier, len(names)
+        inner = k
+        while n**inner > _SLICE:
+            inner -= 1
+        cols, size = _grid(n, inner), n**inner
+        for outer in itertools.product(range(n), repeat=k - inner):
+            slice_cols = [[v] * size for v in outer] + cols
+            vals = _evaluate(rows, slice_cols, size, self.zero, self.prefix, self.plus, self.par)
+            lv, rv = vals[l], vals[r]
+            if lv != rv:
+                i = next(i for i, (x, y) in enumerate(zip(lv, rv)) if x != y)
+                return dict(zip(names, outer + tuple(c[i] for c in cols)))
         return None
+
+    def _table(self, sides, names):
+        """The node table of the sides, whose variables `names` lists, once
+        every action in them is known to have a table."""
+        for t in sides:
+            missing = actions_of(t).difference(self.prefix)
+            if missing:
+                raise ValueError(f"model has no table for action {min(missing)!r}")
+        return _compile(sides, {name: i for i, name in enumerate(names)})
 
     def to_json(self) -> dict:
         return {
@@ -131,57 +166,98 @@ def fixture_model(name: str) -> FiniteModel:
 
 
 # ---------------------------------------------------------------------------
-# Compiled equation programs
+# Node tables
 #
-# An equation becomes one postfix program computing both sides; running it
-# leaves the two values on the stack. Opcodes: (0, var position), (1,) zero,
-# (2, action), (3,) plus, (4,) par.
+# A node table lists the distinct nodes of some terms, each after the nodes
+# it reads, so one forward pass evaluates them all. Rows: (0, k) a leaf read
+# from column k, (1,) zero, (2, action, i) a prefix, (3, i, j) + and
+# (4, i, j) ||, where i and j are earlier rows. For evaluation the leaves are
+# the variables; for the search at one layer they are the layer's atoms.
+#
+# The evaluator runs a table over a slice of the row-major valuation grid and
+# keeps a value list per row, so it holds slice size x rows values. The slice
+# bound keeps that small whatever the carrier and the number of variables,
+# and costs no speed. The table6 report against E_CS, whose widest equations
+# span 15,625 points, took (CPython 3.11, one core of a 2-vCPU VM): 6.1 s in
+# slices of one point, 0.26 s and 0.26 MB traced peak in slices of at most
+# 625 points, 0.28 s and 1.4 MB at 3,125, and 0.36-0.48 s and 3.7 MB over
+# whole grids. Each slice pays a fixed cost per row, so much smaller slices
+# are slower, and larger ones only hold more memory.
+
+_SLICE = 625
+
+_OP_LAYER = {Sum: 0, Prefix: 1, Par: 2}
 
 
-def _compile_term(t: Term, pos: dict, out: list):
-    if isinstance(t, Nil):
-        out.append((1,))
-    elif isinstance(t, Var):
-        out.append((0, pos[t.name]))
-    elif isinstance(t, Prefix):
-        _compile_term(t.body, pos, out)
-        out.append((2, t.action))
-    elif isinstance(t, Sum):
-        _compile_term(t.left, pos, out)
-        _compile_term(t.right, pos, out)
-        out.append((3,))
-    else:
-        _compile_term(t.left, pos, out)
-        _compile_term(t.right, pos, out)
-        out.append((4,))
+def _layer(t: Term) -> int:
+    """The last table, in the search's fill order, that t reads: 0 for +, 1
+    for the prefixes, 2 for ||, and -1 for a term of 0 and variables."""
+    return cached(t, "model_layer", _layer_of, children)
 
 
-def _compile_pair(eq: Equation, names) -> tuple:
-    pos = {n: i for i, n in enumerate(names)}
-    out: list = []
-    _compile_term(eq.lhs, pos, out)
-    _compile_term(eq.rhs, pos, out)
-    return tuple(out)
+def _layer_of(t: Term) -> int:
+    return max([_OP_LAYER.get(type(t), -1)] + [_layer(k) for k in children(t)])
 
 
-def _run_total(prog, values, m: FiniteModel):
-    stack: list = []
-    push = stack.append
-    for op in prog:
-        tag = op[0]
+def _compile(sides, slots: dict, layer: int = -1):
+    """The node table of the sides: (rows, the row of each side, atoms). A
+    variable reads column slots[name]. A maximal subterm whose `_layer` is
+    below `layer` is an atom instead: one leaf row reading column k for
+    atoms[k], numbered in the order a left-to-right walk first meets them,
+    and nothing below it is listed."""
+    rows: list = []
+    index: dict = {}  # node -> its row
+    atoms: list = []
+
+    def known(u: Term) -> bool:
+        if u in index:
+            return True
+        if _layer(u) >= layer:
+            return False
+        index[u] = len(rows)
+        rows.append((0, len(atoms)))
+        atoms.append(u)
+        return True
+
+    for t in sides:
+        for u in postorder(t, known):
+            index[u] = len(rows)
+            if isinstance(u, Var):
+                rows.append((0, slots[u.name]))
+            elif isinstance(u, Nil):
+                rows.append((1,))
+            elif isinstance(u, Prefix):
+                rows.append((2, u.action, index[u.body]))
+            else:
+                rows.append((3 if isinstance(u, Sum) else 4, index[u.left], index[u.right]))
+    return rows, [index[t] for t in sides], atoms
+
+
+def _grid(n: int, k: int) -> list:
+    """The k columns of the row-major grid of all valuations of k variables
+    over n values, the first variable slowest."""
+    return [list(c) for c in zip(*itertools.product(range(n), repeat=k))]
+
+
+def _evaluate(rows, cols, size: int, zero: int, prefix, plus, par) -> list:
+    """The values of every row of a node table at each of the `size` points
+    of a slice, where leaf column k takes the values cols[k]. Each prefix
+    row's action must have a table."""
+    vals: list = []
+    for row in rows:
+        tag = row[0]
         if tag == 0:
-            push(values[op[1]])
+            v = cols[row[1]]
         elif tag == 1:
-            push(m.zero)
+            v = [zero] * size
         elif tag == 2:
-            stack[-1] = m.prefix[op[1]][stack[-1]]
-        elif tag == 3:
-            y = stack.pop()
-            stack[-1] = m.plus[stack[-1]][y]
+            tab = prefix[row[1]]
+            v = [tab[x] for x in vals[row[2]]]
         else:
-            y = stack.pop()
-            stack[-1] = m.par[stack[-1]][y]
-    return stack[0], stack[1]
+            tab = plus if tag == 3 else par
+            v = [tab[x][y] for x, y in zip(vals[row[1]], vals[row[2]])]
+        vals.append(v)
+    return vals
 
 
 # ---------------------------------------------------------------------------
@@ -294,103 +370,28 @@ def _structural_laws(equations) -> tuple:
     return flags, kept
 
 
-def _contains_op(t: Term, cls) -> bool:
-    if isinstance(t, cls):
-        return True
-    if isinstance(t, Prefix):
-        return _contains_op(t.body, cls)
-    if isinstance(t, (Sum, Par)):
-        return _contains_op(t.left, cls) or _contains_op(t.right, cls)
-    return False
-
-
-_LAYER_OPS = (Sum, Prefix, Par)
-
-
 def _equation_layer(eq: Equation) -> int:
     """Index of the deepest table an equation reads: 0 for +, 1 for the
     prefixes, 2 for ||. The search fills tables in that order, so an equation
     becomes ground exactly when its layer is entered."""
-    for layer in (2, 1):
-        cls = _LAYER_OPS[layer]
-        if _contains_op(eq.lhs, cls) or _contains_op(eq.rhs, cls):
-            return layer
-    return 0
-
-
-def _split_term(t: Term, cls, atoms: list, index: dict):
-    """Split a term into maximal subterms free of the layer operator (the
-    atoms, which evaluate to carrier values before the layer is entered) and
-    the operator structure above them. Structure nodes mirror the program
-    opcodes: (0, atom), (2, action, sub), (3, l, r) for +, (4, l, r) for ||."""
-    if not _contains_op(t, cls):
-        k = index.get(t)
-        if k is None:
-            k = len(atoms)
-            index[t] = k
-            atoms.append(t)
-        return (0, k)
-    if isinstance(t, Prefix):
-        return (2, t.action, _split_term(t.body, cls, atoms, index))
-    l = _split_term(t.left, cls, atoms, index)
-    r = _split_term(t.right, cls, atoms, index)
-    return (3 if isinstance(t, Sum) else 4, l, r)
-
-
-def _struct_prog(s, out: list):
-    """Flatten a structure tree to postfix so folding it is a loop."""
-    tag = s[0]
-    if tag == 0:
-        out.append((0, s[1]))
-    elif tag == 2:
-        _struct_prog(s[2], out)
-        out.append((2, s[1]))
-    else:
-        _struct_prog(s[1], out)
-        _struct_prog(s[2], out)
-        out.append((tag,))
+    return max(_layer(eq.lhs), _layer(eq.rhs), 0)
 
 
 class _EqPlan:
-    """Grounding plan for one equation: programs for its atoms, the structure
-    trees of both sides, and the variables grouped into blocks that share no
-    atom, so each block is enumerated once instead of jointly."""
+    """Grounding plan for one equation: the node table of both sides with
+    the layer's atoms as leaves, and the variables grouped into blocks that
+    share no atom, each with the node table of its atoms, so each block is
+    enumerated once instead of jointly."""
 
-    __slots__ = (
-        "vars",
-        "atom_terms",
-        "atom_progs",
-        "lhs_prog",
-        "rhs_prog",
-        "skey",
-        "comps",
-        "is_goal",
-    )
+    __slots__ = ("vars", "rows", "lhs", "rhs", "skey", "comps", "is_goal")
 
     def __init__(self, eq: Equation, layer: int, is_goal: bool):
         self.vars = eq.vars
         self.is_goal = is_goal
         pos = {name: i for i, name in enumerate(self.vars)}
-        atoms: list = []
-        index: dict = {}
-        cls = _LAYER_OPS[layer]
-        lhs_struct = _split_term(eq.lhs, cls, atoms, index)
-        rhs_struct = _split_term(eq.rhs, cls, atoms, index)
-        self.skey = (lhs_struct, rhs_struct)
-        side: list = []
-        _struct_prog(lhs_struct, side)
-        self.lhs_prog = tuple(side)
-        side = []
-        _struct_prog(rhs_struct, side)
-        self.rhs_prog = tuple(side)
-        self.atom_terms = atoms
-        self.atom_progs = []
-        atom_vars = []
-        for t in atoms:
-            prog: list = []
-            _compile_term(t, pos, prog)
-            self.atom_progs.append(tuple(prog))
-            atom_vars.append(sorted(pos[v] for v in free_vars(t)))
+        self.rows, (self.lhs, self.rhs), atoms = _compile((eq.lhs, eq.rhs), {}, layer)
+        self.skey = (tuple(self.rows), self.lhs, self.rhs)
+        atom_vars = [sorted(pos[v] for v in free_vars(t)) for t in atoms]
 
         parent = list(range(len(self.vars)))
 
@@ -407,15 +408,13 @@ class _EqPlan:
         for k, vs in enumerate(atom_vars):
             root = find(vs[0]) if vs else -1
             groups.setdefault(root, []).append(k)
+        # (block size, atom ids, node table of those atoms over the block)
         self.comps = []
         for root in sorted(groups):
-            if root < 0:
-                positions: tuple = ()
-            else:
-                positions = tuple(
-                    i for i in range(len(self.vars)) if find(i) == root
-                )
-            self.comps.append((positions, tuple(groups[root])))
+            names = [] if root < 0 else [v for i, v in enumerate(self.vars) if find(i) == root]
+            ids = tuple(groups[root])
+            rows, roots, _ = _compile([atoms[i] for i in ids], {v: s for s, v in enumerate(names)})
+            self.comps.append((len(names), ids, rows, roots))
 
 
 class _Frame:
@@ -455,9 +454,9 @@ class _LayeredSearch:
     Cells are assigned in layer order: free + cells, prefix cells, free ||
     cells. Entering a layer grounds that layer's equations against the tables
     already fixed and merges duplicate residual constraints; a constraint
-    then waits on the first unassigned cell its evaluation hits. A constraint
-    whose one side is a single free cell doubles as a propagator: when its
-    other side completes, the cell is forced instead of enumerated.
+    then waits on the first unassigned cell its evaluation hits. An axiom
+    constraint whose one side is a single free cell doubles as a propagator:
+    when its other side completes, the cell is forced instead of enumerated.
     """
 
     WATCHING, HOLDS, VIOLATED = 0, 1, 2
@@ -552,7 +551,7 @@ class _LayeredSearch:
         self.trail: list = []  # ([cells written], [(frame, ci, state, cell)], dyn)
         self.dyn_cur = 0
         self.nodes = 0
-        self._slot_vecs: dict = {}
+        self._grids: dict = {}  # block size -> columns of its valuation grid
 
     # -- tables --------------------------------------------------------
 
@@ -572,76 +571,17 @@ class _LayeredSearch:
 
     # -- grounding -----------------------------------------------------
 
-    def _eval_atom(self, prog, values) -> int:
-        """Atoms only read tables of completed layers, so this never hits an
-        unassigned cell."""
-        stack: list = []
-        push = stack.append
-        for op in prog:
-            tag = op[0]
-            if tag == 0:
-                push(values[op[1]])
-            elif tag == 1:
-                push(0)
-            elif tag == 2:
-                stack[-1] = self.pre_m[op[1]][stack[-1]]
-            elif tag == 3:
-                y = stack.pop()
-                stack[-1] = self.plus_m[stack[-1]][y]
-            else:
-                y = stack.pop()
-                stack[-1] = self.par_m[stack[-1]][y]
-        return stack[0]
-
-    def _slot_vec(self, k: int, slot: int):
-        """Value of variable `slot` at each point of the k-dimensional
-        valuation grid, flattened row-major."""
-        got = self._slot_vecs.get((k, slot))
+    def _block_grid(self, k: int) -> list:
+        got = self._grids.get(k)
         if got is None:
-            n = self.n
-            stride = n ** (k - 1 - slot)
-            got = [(i // stride) % n for i in range(n**k)]
-            self._slot_vecs[(k, slot)] = got
+            got = self._grids[k] = _grid(self.n, k)
         return got
 
-    def _term_vec(self, t: Term, slots: dict, memo: dict):
-        """Evaluate an atom over the whole valuation grid at once."""
-        got = memo.get(t)
-        if got is not None:
-            return got
-        if isinstance(t, Var):
-            v = slots[t.name]
-        elif isinstance(t, Nil):
-            v = [0] * len(next(iter(slots.values())))
-        elif isinstance(t, Prefix):
-            row = self.pre_m[t.action]
-            v = [row[x] for x in self._term_vec(t.body, slots, memo)]
-        elif isinstance(t, Sum):
-            pm = self.plus_m
-            v = [
-                pm[x][y]
-                for x, y in zip(
-                    self._term_vec(t.left, slots, memo),
-                    self._term_vec(t.right, slots, memo),
-                )
-            ]
-        else:
-            qm = self.par_m
-            v = [
-                qm[x][y]
-                for x, y in zip(
-                    self._term_vec(t.left, slots, memo),
-                    self._term_vec(t.right, slots, memo),
-                )
-            ]
-        memo[t] = v
-        return v
-
-    def _fold(self, sprog, atom_vals, cons, cons_list) -> int:
-        """Partially evaluate a postfix structure program. Carrier values come
-        back as -(v+1); anything still touching a free cell becomes a
-        hash-consed node id >= 0, so identical residues are shared and
-        compared by id."""
+    def _fold(self, plan, atom_vals, cons, cons_list) -> tuple:
+        """Partially evaluate the plan's node table; returns the results of
+        its two sides. Carrier values come back as -(v+1); anything still
+        touching a free cell becomes a hash-consed node id >= 0, so identical
+        residues are shared and compared by id."""
         f = self.flags
         plus_idem = f["plus_idem"]
         plus_unit = f["plus_unit"]
@@ -649,53 +589,54 @@ class _LayeredSearch:
         par_unit = f["par_unit"]
         par_comm = f["par_comm"]
         pre_m, plus_m, par_m = self.pre_m, self.plus_m, self.par_m
-        stack: list = []
-        push = stack.append
-        for op in sprog:
-            tag = op[0]
+        out: list = []
+        push = out.append
+        for row in plan.rows:
+            tag = row[0]
             if tag == 0:
-                push(-atom_vals[op[1]] - 1)
+                push(-atom_vals[row[1]] - 1)
                 continue
             if tag == 2:
-                e = stack[-1]
+                e = out[row[2]]
                 if e < 0:
-                    v = pre_m[op[1]][-e - 1]
+                    v = pre_m[row[1]][-e - 1]
                     if v is not None:
-                        stack[-1] = -v - 1
+                        push(-v - 1)
                         continue
-                node = (2, op[1], e)
+                node = (2, row[1], e)
             elif tag == 3:
-                r = stack.pop()
-                l = stack[-1]
+                l, r = out[row[1]], out[row[2]]
                 if l < 0 and r < 0:
                     v = plus_m[-l - 1][-r - 1]
                     if v is not None:
-                        stack[-1] = -v - 1
+                        push(-v - 1)
                         continue
                 if plus_idem and l == r:
+                    push(l)
                     continue
                 if plus_unit:
                     if r == -1:
+                        push(l)
                         continue
                     if l == -1 and plus_comm:
-                        stack[-1] = r
+                        push(r)
                         continue
                 if plus_comm and r < l:
                     l, r = r, l
                 node = (3, l, r)
             else:
-                r = stack.pop()
-                l = stack[-1]
+                l, r = out[row[1]], out[row[2]]
                 if l < 0 and r < 0:
                     v = par_m[-l - 1][-r - 1]
                     if v is not None:
-                        stack[-1] = -v - 1
+                        push(-v - 1)
                         continue
                 if par_unit:
                     if r == -1:
+                        push(l)
                         continue
                     if l == -1 and par_comm:
-                        stack[-1] = r
+                        push(r)
                         continue
                 if par_comm and r < l:
                     l, r = r, l
@@ -704,27 +645,29 @@ class _LayeredSearch:
             if got is None:
                 cons[node] = got = len(cons_list)
                 cons_list.append(node)
-            stack[-1] = got
-        return stack[0]
+            push(got)
+        return out[plan.lhs], out[plan.rhs]
 
-    def _emit(self, e: int, cons_list, out: list):
-        if e < 0:
-            out.append((5, -e - 1))
-            return
-        node = cons_list[e]
-        if node[0] == 2:
-            self._emit(node[2], cons_list, out)
-            out.append((2, node[1]))
-        else:
-            self._emit(node[1], cons_list, out)
-            self._emit(node[2], cons_list, out)
-            out.append((node[0],))
-
-    def _emit_prog(self, e: int, cons_list, progs: dict):
+    def _emit(self, e: int, cons_list, progs: dict):
+        """The postfix program of residue e, written once per residue from an
+        explicit stack: (5, v) pushes the value v, and (2, action), (3,) and
+        (4,) apply a prefix, + and || to the top of the stack."""
         got = progs.get(e)
         if got is None:
             out: list = []
-            self._emit(e, cons_list, out)
+            todo = [e]
+            while todo:
+                x = todo.pop()
+                if type(x) is tuple:  # an operator, written after its operands
+                    out.append(x)
+                elif x < 0:
+                    out.append((5, -x - 1))
+                else:
+                    node = cons_list[x]
+                    if node[0] == 2:
+                        todo += ((2, node[1]), node[2])
+                    else:
+                        todo += ((node[0],), node[2], node[1])
             progs[e] = got = tuple(out)
         return got
 
@@ -745,12 +688,14 @@ class _LayeredSearch:
 
     def _arm(self, frame, lid, rid, is_goal, cons_list, progs, queue) -> bool:
         """Store one residual constraint unless it is already decided.
-        False means a statically violated axiom: the layer is contradictory."""
+        False means a statically violated axiom: the layer is contradictory.
+        Only axiom constraints force cells: a goal instance may fail, so a
+        goal constraint has no bare side and just waits on its cells."""
         ci = len(frame.progL)
-        frame.progL.append(self._emit_prog(lid, cons_list, progs))
-        frame.progR.append(self._emit_prog(rid, cons_list, progs))
-        frame.bareL.append(self._bare_cell(lid, cons_list))
-        frame.bareR.append(self._bare_cell(rid, cons_list))
+        frame.progL.append(self._emit(lid, cons_list, progs))
+        frame.progR.append(self._emit(rid, cons_list, progs))
+        frame.bareL.append(-1 if is_goal else self._bare_cell(lid, cons_list))
+        frame.bareR.append(-1 if is_goal else self._bare_cell(rid, cons_list))
         frame.is_goal.append(is_goal)
         frame.state.append(self.WATCHING)
         frame.watch.append(-1)
@@ -782,7 +727,7 @@ class _LayeredSearch:
             return True
         return False
 
-    def _compile(self, layer: int):
+    def _ground(self, layer: int):
         """Ground this layer's equations against the tables fixed so far,
         merge duplicate residual constraints, and run the initial round of
         forced assignments. None when the layer is already contradictory."""
@@ -801,25 +746,12 @@ class _LayeredSearch:
         dead = False
         for plan in self.layer_eqs[layer]:
             comp_sets = []
-            for positions, atom_ids in plan.comps:
-                k = len(positions)
-                if k == 0:
-                    tup = tuple(
-                        self._eval_atom(plan.atom_progs[ai], ()) for ai in atom_ids
-                    )
-                    comp_sets.append((atom_ids, [tup]))
-                    continue
-                slots = {
-                    plan.vars[p]: self._slot_vec(k, slot)
-                    for slot, p in enumerate(positions)
-                }
-                memo: dict = {}
-                vecs = [
-                    self._term_vec(plan.atom_terms[ai], slots, memo)
-                    for ai in atom_ids
-                ]
-                comp_sets.append((atom_ids, sorted(set(zip(*vecs)))))
-            atom_vals = [0] * len(plan.atom_progs)
+            for k, atom_ids, rows, roots in plan.comps:
+                vals = _evaluate(
+                    rows, self._block_grid(k), self.n**k, 0, self.pre_m, self.plus_m, self.par_m
+                )
+                comp_sets.append((atom_ids, sorted(set(zip(*(vals[i] for i in roots))))))
+            atom_vals = [0] * sum(len(ids) for _, ids, _, _ in plan.comps)
             queue: list = []
             for cross in itertools.product(*(s for _, s in comp_sets)):
                 for (atom_ids, _), tup in zip(comp_sets, cross):
@@ -828,9 +760,7 @@ class _LayeredSearch:
                 key = (plan.skey, tuple(atom_vals))
                 pair = cache.get(key)
                 if pair is None:
-                    lid = self._fold(plan.lhs_prog, atom_vals, cons, cons_list)
-                    rid = self._fold(plan.rhs_prog, atom_vals, cons, cons_list)
-                    cache[key] = pair = (lid, rid)
+                    cache[key] = pair = self._fold(plan, atom_vals, cons, cons_list)
                 lid, rid = pair
                 if lid == rid:
                     continue
@@ -1033,42 +963,58 @@ class _LayeredSearch:
     # -- driver --------------------------------------------------------
 
     def run(self, budget, node_offset: int):
-        """Depth-first over the cells. Returns the model or None; raises
-        _Budget when the decision cap is hit."""
-        return self._run(0, budget, node_offset)
-
-    def _run(self, k: int, budget, node_offset: int):
-        if self.next_layer < 3 and self.layer_start[self.next_layer] == k:
+        """Depth-first over the cells, in order, with every value up to the
+        first unused one, entering each layer when its first cell is reached.
+        The open choices are kept on an explicit stack: [cell, value tried,
+        largest value] for a cell, (layer, frame) for an entered layer.
+        Returns the model or None; raises _Budget when the decision cap is
+        hit."""
+        points: list = []
+        k = 0
+        while True:
             layer = self.next_layer
-            frame = self._compile(layer)
-            if frame is None:
+            if layer < 3 and self.layer_start[layer] == k:
+                frame = self._ground(layer)
+                if frame is not None:
+                    self.next_layer = layer + 1
+                    points.append((layer, frame))
+                    continue
+            elif k == self.total_cells:
+                gf = self.goal_frame
+                if gf.static_violated + gf.violated > 0:
+                    return self._to_model()
+            elif self.val[k] is not None:
+                k += 1
+                continue
+            else:
+                vmax = min(self.n - 1, max(self.static_max[k], self.dyn_cur) + 1)
+                points.append([k, -1, vmax])
+            # Backtrack to the innermost choice with a value left, and try it.
+            while points:
+                top = points[-1]
+                if type(top) is tuple:
+                    points.pop()
+                    self.next_layer, frame = top
+                    self._undo()
+                    self.frames.pop()
+                    if frame is self.goal_frame:
+                        self.goal_frame = None
+                    continue
+                cell, v, vmax = top
+                if v >= 0:
+                    self._undo()
+                if v == vmax:
+                    points.pop()
+                    continue
+                top[1] = v = v + 1
+                self.nodes += 1
+                if budget is not None and node_offset + self.nodes > budget:
+                    raise _Budget
+                if self._assign_entry(cell, v):
+                    k = cell + 1
+                    break
+            else:
                 return None
-            self.next_layer = layer + 1
-            got = self._run(k, budget, node_offset)
-            self.next_layer = layer
-            if got is not None:
-                return got
-            self._undo()
-            self.frames.pop()
-            if frame is self.goal_frame:
-                self.goal_frame = None
-            return None
-        if k == self.total_cells:
-            gf = self.goal_frame
-            return self._to_model() if gf.static_violated + gf.violated > 0 else None
-        if self.val[k] is not None:
-            return self._run(k + 1, budget, node_offset)
-        vmax = min(self.n - 1, max(self.static_max[k], self.dyn_cur) + 1)
-        for v in range(vmax + 1):
-            self.nodes += 1
-            if budget is not None and node_offset + self.nodes > budget:
-                raise _Budget
-            if self._assign_entry(k, v):
-                got = self._run(k + 1, budget, node_offset)
-                if got is not None:
-                    return got
-            self._undo()
-        return None
 
     def _to_model(self) -> FiniteModel:
         return FiniteModel(

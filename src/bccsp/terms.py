@@ -339,62 +339,69 @@ class _Parser:
         return self.text[start : self.pos]
 
     def parse_sum(self) -> Term:
-        t = self.parse_par()
+        """A sum of parallel compositions of prefixed items, + binding
+        loosest and both operators associating to the left. A parenthesised
+        group is read in the same loop, its enclosing group's partial sum,
+        partial composition and pending prefixes kept on an explicit stack,
+        so nesting costs heap, not call frames."""
+        groups = []  # (sum, composition, prefixes) of each enclosing group
+        total = par = None
         while True:
-            self.skip_ws()
-            if self.eat("+"):
+            actions, t = self.parse_item()
+            if t is None:
+                groups.append((total, par, actions))
+                total = par = None
+                continue
+            while True:
+                for a in reversed(actions):
+                    t = Prefix(a, t)
+                par = t if par is None else Par(par, t)
                 self.skip_ws()
-                t = Sum(t, self.parse_par())
-            else:
-                return t
+                if self.eat("||"):
+                    break
+                if self.peek() == "|":
+                    self.error("parallel composition is written '||'")
+                total = par if total is None else Sum(total, par)
+                par = None
+                if self.eat("+"):
+                    break
+                if not groups:
+                    return total
+                if not self.eat(")"):
+                    self.error("expected ')'")
+                t = total
+                total, par, actions = groups.pop()
 
-    def parse_par(self) -> Term:
-        t = self.parse_item()
-        while True:
-            self.skip_ws()
-            if self.eat("||"):
-                self.skip_ws()
-                t = Par(t, self.parse_item())
-            elif self.peek() == "|":
-                self.error("parallel composition is written '||'")
-            else:
-                return t
-
-    def parse_item(self) -> Term:
-        actions = []  # a prefix chain costs a loop turn per prefix, not a call frame
+    def parse_item(self) -> tuple:
+        """A prefix chain and the item it ends in, as (actions, item). The
+        item is None for a parenthesised group, whose '(' is consumed. A
+        prefix chain costs a loop turn per prefix, not a call frame."""
+        actions = []
         while True:
             self.skip_ws()
             c = self.peek()
             if c == "0":
                 self.pos += 1
-                t = Nil()
-            elif c == "(":
+                return actions, Nil()
+            if c == "(":
                 self.pos += 1
-                t = self.parse_sum()
-                self.skip_ws()
-                if not self.eat(")"):
-                    self.error("expected ')'")
-            elif c in _IDENT_START:
-                at = self.pos
-                name = self.ident()
-                if name == "tau" and not self.alphabet.sync_mode:
-                    self.pos = at
-                    self.error("'tau' is only an action in sync mode")
-                if self.alphabet.has_action(name):
-                    if self.eat("."):
-                        actions.append(name)
-                        continue
-                    t = Prefix(name, Nil())  # bare action shorthand
-                elif self.peek() == "." or "'" in name:
-                    self.pos = at
-                    self.error(f"unknown action {name!r}")
-                else:
-                    t = Var(name)
-            else:
+                return actions, None
+            if c not in _IDENT_START:
                 self.error("expected a term")
-            for a in reversed(actions):
-                t = Prefix(a, t)
-            return t
+            at = self.pos
+            name = self.ident()
+            if name == "tau" and not self.alphabet.sync_mode:
+                self.pos = at
+                self.error("'tau' is only an action in sync mode")
+            if self.alphabet.has_action(name):
+                if self.eat("."):
+                    actions.append(name)
+                    continue
+                return actions, Prefix(name, Nil())  # bare action shorthand
+            if self.peek() == "." or "'" in name:
+                self.pos = at
+                self.error(f"unknown action {name!r}")
+            return actions, Var(name)
 
 
 def parse(text: str, alphabet: Alphabet) -> Term:

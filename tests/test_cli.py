@@ -53,6 +53,10 @@ def test_unknown_options_and_bad_terms_are_usage_errors(capsys):
 def test_deep_prefix_chains_parse_and_compare(capsys):
     assert main(["parse", "a." * 990 + "0"]) == 0
     assert capsys.readouterr().out.startswith("a." * 990)
+    assert main(["parse", "(" * 400 + "a" + ")" * 400]) == 0
+    assert capsys.readouterr().out.strip() == "a.0"
+    assert main(["parse", "(" * 400 + "a" + ")" * 399]) == 2
+    assert "expected ')'" in capsys.readouterr().err
     assert main(["equiv", "CT", "a." * 1000 + "0", "a." * 999 + "b"]) == 1
     assert capsys.readouterr().out.strip() == "CT: not equivalent"
 
@@ -135,3 +139,21 @@ def test_prove_check_reports_malformed_scripts_as_errors(tmp_path, capsys, doc, 
     argv = ["prove-check", str(path)] + (["--system", system] if system else [])
     assert main(argv) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_models_of_a_deep_goal(capsys):
+    goal = "a." * 1500 + "0 = 0"
+    argv = ["model", "check", "--fixture", "table6", "--axioms", "E_CS", "--goal", goal]
+    assert main(argv) == 0
+    assert capsys.readouterr().out.strip().endswith("fails at {}: lhs=4 rhs=0")
+    assert main(["model", "search", "--axioms", "E_T", "--carrier", "2", "--goal", goal]) == 0
+    assert capsys.readouterr().out.startswith("found at carrier 2")
+
+
+def test_model_without_a_table_for_an_action(tmp_path, capsys):
+    path = tmp_path / "m.json"
+    tab = [[0, 1], [1, 1]]
+    path.write_text(json.dumps({"carrier": 2, "zero": 0, "prefix": {"a": [1, 1]}, "plus": tab, "par": tab}))
+    argv = ["model", "check", "--file", str(path), "--axioms", "E_T", "--goal", "a.0 = b.0"]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.strip() == "error: model has no table for action 'b'"

@@ -11,8 +11,10 @@ from pathlib import Path
 
 import pytest
 
+from bccsp.axioms import Equation, build_system
 from bccsp.eliminate import par_free
 from bccsp.equivalences import equivalent
+from bccsp.models import fixture_model, search_model
 from bccsp.proofs import canon
 from bccsp.semantics import initials
 from bccsp.terms import (
@@ -74,6 +76,16 @@ def test_decorated_trace_equivalences_of_deep_chains(shallow_stack, rel):
     p, q = chain(300, Sum(A0, B0)), chain(300, Sum(B0, A0))
     assert equivalent(p, q, rel, A)
     assert not equivalent(p, chain(300, A0), rel, A)
+
+
+def test_finite_models_of_a_deep_goal(shallow_stack):
+    goal = Equation("deep", chain(1000, NIL), NIL)
+    m = fixture_model("table6")
+    assert m.eval(goal.lhs, {}) == 4
+    assert m.counter_valuation(goal) == {}
+    assert m.counter_valuation(Equation("open", chain(1000, Var("x")), Var("x"))) == {"x": 0}
+    res = search_model(A, 2, build_system("E_T", A), goal)
+    assert (res.status, res.carrier) == ("found", 2)
 
 
 def test_only_terms_touches_the_node_caches():

@@ -1,6 +1,10 @@
+import itertools
+
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from bccsp import models
 from bccsp.axioms import Equation, build_system
 from bccsp.models import (
     FiniteModel,
@@ -8,9 +12,9 @@ from bccsp.models import (
     independence_report,
     search_model,
 )
-from bccsp.terms import Nil, Par, Prefix, Sum, Var
+from bccsp.terms import Nil, Par, Prefix, Sum, Var, parse, sum_of
 
-from conftest import closed_terms
+from conftest import closed_terms, term_strategy
 
 x, y = Var("x"), Var("y")
 
@@ -98,6 +102,73 @@ def test_eval_is_homomorphic_on_sums(s, t):
     vs, vt = m.eval(s, {}), m.eval(t, {})
     assert m.eval(Sum(s, t), {}) == m.plus[vs][vt]
     assert m.eval(Par(s, t), {}) == m.par[vs][vt]
+
+
+def reference_eval(m, t, valuation):
+    """Evaluation by structural recursion, the definition the node-table
+    evaluator must agree with."""
+    if isinstance(t, Nil):
+        return m.zero
+    if isinstance(t, Var):
+        return valuation[t.name]
+    if isinstance(t, Prefix):
+        return m.prefix[t.action][reference_eval(m, t.body, valuation)]
+    tab = m.plus if isinstance(t, Sum) else m.par
+    return tab[reference_eval(m, t.left, valuation)][reference_eval(m, t.right, valuation)]
+
+
+def reference_counter_valuation(m, eq):
+    for values in itertools.product(range(m.carrier), repeat=len(eq.vars)):
+        val = dict(zip(eq.vars, values))
+        if reference_eval(m, eq.lhs, val) != reference_eval(m, eq.rhs, val):
+            return val
+    return None
+
+
+@st.composite
+def random_models(draw):
+    n = draw(st.integers(2, 4))
+    cell = st.integers(0, n - 1)
+    square = st.lists(st.lists(cell, min_size=n, max_size=n), min_size=n, max_size=n)
+    row = st.lists(cell, min_size=n, max_size=n)
+    return FiniteModel(
+        carrier=n,
+        zero=draw(cell),
+        prefix={"a": draw(row), "b": draw(row)},
+        plus=draw(square),
+        par=draw(square),
+    )
+
+
+xyz_terms = term_strategy(variables=("x", "y", "z"))
+
+
+@settings(max_examples=150, deadline=None)
+@given(random_models(), xyz_terms, xyz_terms, st.data())
+def test_evaluator_agrees_with_structural_recursion(m, s, t, data):
+    valuation = {v: data.draw(st.integers(0, m.carrier - 1)) for v in "xyz"}
+    assert m.eval(s, valuation) == reference_eval(m, s, valuation)
+    eq = Equation("random", s, t)
+    assert m.counter_valuation(eq) == reference_counter_valuation(m, eq)
+
+
+def test_counter_valuation_across_slices():
+    # carrier 4 and five variables: 1,024 points, more than one slice; the
+    # sides differ only at v = 3 with w, x, y, z below 3, so the first
+    # failing valuation lies in the last slice
+    m = FiniteModel(
+        carrier=4,
+        zero=0,
+        prefix={"a": (0, 1, 2, 0)},
+        plus=[[max(i, j) for j in range(4)] for i in range(4)],
+        par=[[0] * 4] * 4,
+    )
+    assert 4**5 > models._SLICE
+    rest = sum_of([Var(v) for v in "wxyz"])
+    eq = Equation("slices", Sum(Prefix("a", Var("v")), rest), Sum(Var("v"), rest))
+    assert m.counter_valuation(eq) == {"v": 3, "w": 0, "x": 0, "y": 0, "z": 0}
+    assert m.counter_valuation(eq) == reference_counter_valuation(m, eq)
+    assert m.holds(Equation("comm", Sum(Var("v"), rest), Sum(rest, Var("v"))))
 
 
 def test_json_round_trip():
@@ -214,3 +285,54 @@ def test_search_can_start_above_one(ab):
     assert res.status == "found" and res.carrier == 3
     rep = independence_report(res.model, ert, goal)
     assert rep["independent"] is True
+
+
+# (system, system holding the goal, goal, carrier): status, nodes, carrier
+# and model, as the search gives them; the node count depends on the order
+# in which cells and values are tried, which is fixed.
+PINNED = [
+    (
+        ("E_RT", "E_RS", "RSP2[{a};a]", 3),
+        ("found", 391, 3),
+        {
+            "prefix": {"a": [0, 1, 0], "b": [0, 0, 0]},
+            "plus": [[0, 1, 2], [1, 1, 1], [2, 1, 2]],
+            "par": [[0, 1, 2], [1, 1, 1], [2, 1, 1]],
+        },
+    ),
+    (
+        ("E_R", "E_F", "F[b]", 4),
+        ("found", 1043, 4),
+        {
+            "prefix": {"a": [0, 0, 0, 0], "b": [0, 1, 0, 0]},
+            "plus": [[0, 1, 2, 3], [1, 1, 1, 1], [2, 1, 2, 1], [3, 1, 1, 3]],
+            "par": [[0, 1, 2, 3], [1, 1, 1, 1], [2, 1, 0, 0], [3, 1, 0, 0]],
+        },
+    ),
+    (("E_T", "E_CT", "CTP[a,b]", 3), ("none", 1574, None), None),
+    (("E_S", "E_CS", "CSP2[a,a,b]", 3), ("none", 1507, None), None),
+]
+
+
+@pytest.mark.parametrize("problem,outcome,tables", PINNED)
+def test_search_results_are_pinned(ab, problem, outcome, tables):
+    name, goal_sys, goal_id, carrier = problem
+    goal = build_system(goal_sys, ab).by_id[goal_id]
+    res = search_model(ab, carrier, build_system(name, ab), goal)
+    assert (res.status, res.nodes, res.carrier) == outcome
+    if tables is None:
+        assert res.model is None
+    else:
+        assert res.model == FiniteModel(carrier=carrier, zero=0, **tables)
+
+
+@pytest.mark.parametrize("goal", ["a.x = x", "a.x = 0", "x + a.0 = x"])
+def test_goal_instances_are_not_forced_to_hold(ab, goal):
+    # a two-element model (+ and || max, every prefix 1) satisfies E_T and
+    # refutes each goal; the search must not force goal instances to hold
+    lhs, rhs = (parse(side, ab) for side in goal.split("="))
+    eq = Equation("goal", lhs, rhs)
+    et = build_system("E_T", ab)
+    assert independence_report(tiny_model(), et, eq)["independent"]
+    res = search_model(ab, 2, et, eq)
+    assert (res.status, res.carrier) == ("found", 2)
