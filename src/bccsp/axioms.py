@@ -43,10 +43,7 @@ __all__ = [
     "canonical_system_name",
     "build_system",
     "check_sound",
-    "minimal_obligations",
-    "finer_or_equal",
     "saturate",
-    "is_saturated",
 ]
 
 
@@ -506,47 +503,6 @@ def check_sound(
     return refute_open(eq.lhs, eq.rhs, rel, alphabet, mode, scheme)
 
 
-def finer_or_equal(r1: str, r2: str) -> bool:
-    """Whether equality under r1 implies equality under r2."""
-    from .equivalences import _spectrum_edges
-
-    if r1 == r2:
-        return True
-    adj: dict = {}
-    for a, b in _spectrum_edges(2):
-        adj.setdefault(a, set()).add(b)
-    seen = set()
-    frontier = {r1}
-    while frontier:
-        nxt = set()
-        for x in frontier:
-            for y in adj.get(x, ()):
-                if y not in seen:
-                    seen.add(y)
-                    nxt.add(y)
-        frontier = nxt
-    return r2 in seen
-
-
-def minimal_obligations(systems) -> list:
-    """Soundness obligations for a family of systems, deduplicated: an axiom
-    shared by several systems is checked once, under a host relation that
-    implies all the other host relations, when such a relation exists."""
-    table: dict = {}
-    for sys_ in systems:
-        for eq in sys_.equations:
-            entry = table.setdefault(eq.id, (eq, set()))
-            entry[1].add(sys_.target_relation)
-    out = []
-    for eq, rels in table.values():
-        best = [r for r in rels if all(finer_or_equal(r, s) for s in rels)]
-        if best:
-            out.append((eq, best[0]))
-        else:
-            out.extend((eq, r) for r in sorted(rels))
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Saturation under 0-substitutions
 
@@ -579,15 +535,3 @@ def saturate(system: AxiomSystem) -> AxiomSystem:
         system.target_relation,
     )
 
-
-def is_saturated(system: AxiomSystem) -> bool:
-    """Whether every non-trivial 0-substitution instance of every axiom is
-    already present (as a pair of sides, ids aside)."""
-    have = {(e.lhs, e.rhs) for e in system.equations}
-    for eq in system.equations:
-        for r in range(len(eq.vars) + 1):
-            for names in itertools.combinations(eq.vars, r):
-                l2, r2 = _zeroed(eq, names)
-                if l2 is not r2 and (l2, r2) not in have:
-                    return False
-    return True

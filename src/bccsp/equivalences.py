@@ -24,10 +24,10 @@ from .terms import (
     Prefix,
     Sum,
     Term,
+    _show,
     cached,
     depth,
     free_vars,
-    render,
     substitute,
 )
 
@@ -338,11 +338,11 @@ def spectrum_vector(p, q, alphabet=None, mode=TransitionMode.INTERLEAVING, neste
     for fine, coarse in _spectrum_edges(nested_max):
         if vec[fine] and not vec[coarse]:
             raise SpectrumError(
-                f"{fine} holds but {coarse} fails on {render(p)} vs {render(q)}"
+                f"{fine} holds but {coarse} fails on {_show(p)} vs {_show(q)}"
             )
     for x, y in _spectrum_coincidences(nested_max):
         if vec[x] != vec[y]:
-            raise SpectrumError(f"{x} and {y} disagree on {render(p)} vs {render(q)}")
+            raise SpectrumError(f"{x} and {y} disagree on {_show(p)} vs {_show(q)}")
     return vec
 
 

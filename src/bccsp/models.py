@@ -20,16 +20,23 @@ entering a layer, the equations whose deepest operator lives there are ground
 over all valuations and partially evaluated against the tables already fixed:
 the node table of such an equation has the layer's atoms as leaves, the
 maximal subterms free of the layer's operator, whose values the finished
-layers fix. Identical residual constraints are merged, which collapses the
-n^k raw instances of the wide schemas into a few hundred distinct
-constraints. Within a layer the constraints are watched: each suspends on the
-first unassigned cell its evaluation needs and is re-run when that cell is
-filled. An axiom constraint whose one side is a single free cell and whose
-other side has become a value forces that cell, so the expansion laws
-propagate most of the || table instead of leaving it to enumeration; a goal
-constraint forces nothing, since only one goal instance needs to fail.
-Symmetry is broken by fixing the zero element and introducing carrier
-elements in first-use order.
+layers fix. What a side still needs of the open cells is a residue: a row of
+the layer's own node table, with rows (2, action, e), (3, l, r) and
+(4, l, r) as above, whose operands are carrier values or earlier residues.
+Identical residues share one row, so identical residual constraints are
+merged, which collapses the n^k raw instances of the wide schemas into a few
+hundred distinct constraints. A constraint is the pair of its sides' residue
+ids, and one walk over the residue DAG (`_LayeredSearch._value`) reads a side
+over the current tables; the residue values it learns are kept until the
+search backtracks past the cells they read, so a residue shared by many
+constraints, or by itself, is evaluated once. Within a layer the constraints
+are watched: each suspends on the first unassigned cell its evaluation needs
+and is re-run when that cell is filled. An axiom constraint whose one side is
+a single free cell and whose other side has become a value forces that cell,
+so the expansion laws propagate most of the || table instead of leaving it
+to enumeration; a goal constraint forces nothing, since only one goal
+instance needs to fail. Symmetry is broken by fixing the zero element and
+introducing carrier elements in first-use order.
 """
 
 from __future__ import annotations
@@ -47,12 +54,12 @@ from .terms import (
     Sum,
     Term,
     Var,
+    _show,
     actions_of,
     cached,
     children,
     free_vars,
     postorder,
-    render,
 )
 
 __all__ = [
@@ -267,7 +274,8 @@ def _evaluate(rows, cols, size: int, zero: int, prefix, plus, par) -> list:
 def independence_report(m: FiniteModel, system, goal: Equation) -> dict:
     """Exhaustively check every equation of the system against the model and
     the goal against the model. The interesting outcome is all_axioms_hold
-    with refuted goal: the goal is then underivable from the system."""
+    with refuted goal: the goal is then underivable from the system. The
+    goal's sides are written out when they are small, else as their size."""
     axioms = []
     failures = []
     for eq in system:
@@ -284,8 +292,8 @@ def independence_report(m: FiniteModel, system, goal: Equation) -> dict:
     gv = m.counter_valuation(goal)
     goal_entry = {
         "id": goal.id,
-        "lhs": render(goal.lhs),
-        "rhs": render(goal.rhs),
+        "lhs": _show(goal.lhs),
+        "rhs": _show(goal.rhs),
         "refuted": gv is not None,
     }
     if gv is not None:
@@ -418,13 +426,20 @@ class _EqPlan:
 
 
 class _Frame:
-    """Residual constraints of one layer plus their watch state."""
+    """The residual constraints of one layer and their watch state.
+
+    `cons` is the layer's node table of residues: rows (2, action, e),
+    (3, l, r) and (4, l, r), where an operand is a carrier value v, written
+    -(v+1), or the id (row index) of an earlier residue. Constraint ci is
+    sides[ci] = (lhs, rhs, bare_l, bare_r): it asks that residues lhs and
+    rhs be equal, a carrier value standing for either, and bare_l/bare_r
+    hold the cell a side is exactly, or -1. `known` holds the residue values
+    learned on the current branch, written -(v+1) like the operands."""
 
     __slots__ = (
-        "progL",
-        "progR",
-        "bareL",
-        "bareR",
+        "cons",
+        "known",
+        "sides",
         "is_goal",
         "state",
         "watch",
@@ -435,10 +450,9 @@ class _Frame:
     )
 
     def __init__(self):
-        self.progL: list = []
-        self.progR: list = []
-        self.bareL: list = []
-        self.bareR: list = []
+        self.cons: list = []
+        self.known: dict = {}
+        self.sides: list = []
         self.is_goal: list = []
         self.state: list = []
         self.watch: list = []
@@ -453,10 +467,14 @@ class _LayeredSearch:
 
     Cells are assigned in layer order: free + cells, prefix cells, free ||
     cells. Entering a layer grounds that layer's equations against the tables
-    already fixed and merges duplicate residual constraints; a constraint
-    then waits on the first unassigned cell its evaluation hits. An axiom
-    constraint whose one side is a single free cell doubles as a propagator:
-    when its other side completes, the cell is forced instead of enumerated.
+    already fixed into rows of the layer's residue table, so duplicate
+    residual constraints merge; a constraint then waits on the first
+    unassigned cell that `_value`, the one walk over that table, hits. An
+    axiom constraint whose one side is a single free cell doubles as a
+    propagator: when its other side completes, the cell is forced instead of
+    enumerated. Each level of the trail records the cells it wrote, the
+    constraints it re-watched and the residue values it learned, and undoing
+    the level takes all three back.
     """
 
     WATCHING, HOLDS, VIOLATED = 0, 1, 2
@@ -548,7 +566,9 @@ class _LayeredSearch:
         self.frames: list = []
         self.goal_frame = None
         self.next_layer = 0
-        self.trail: list = []  # ([cells written], [(frame, ci, state, cell)], dyn)
+        # one level per entered layer or tried value: ([cells written],
+        # [(frame, ci, state, cell) re-watched], [residues learned], dyn)
+        self.trail: list = []
         self.dyn_cur = 0
         self.nodes = 0
         self._grids: dict = {}  # block size -> columns of its valuation grid
@@ -577,11 +597,12 @@ class _LayeredSearch:
             got = self._grids[k] = _grid(self.n, k)
         return got
 
-    def _fold(self, plan, atom_vals, cons, cons_list) -> tuple:
+    def _fold(self, plan, atom_vals, residue_id, cons) -> tuple:
         """Partially evaluate the plan's node table; returns the results of
         its two sides. Carrier values come back as -(v+1); anything still
-        touching a free cell becomes a hash-consed node id >= 0, so identical
-        residues are shared and compared by id."""
+        touching a free cell becomes a row of the residue table `cons`, and
+        `residue_id` maps each row to its id, so identical residues are
+        shared and compared by id."""
         f = self.flags
         plus_idem = f["plus_idem"]
         plus_unit = f["plus_unit"]
@@ -641,41 +662,18 @@ class _LayeredSearch:
                 if par_comm and r < l:
                     l, r = r, l
                 node = (4, l, r)
-            got = cons.get(node)
+            got = residue_id.get(node)
             if got is None:
-                cons[node] = got = len(cons_list)
-                cons_list.append(node)
+                residue_id[node] = got = len(cons)
+                cons.append(node)
             push(got)
         return out[plan.lhs], out[plan.rhs]
 
-    def _emit(self, e: int, cons_list, progs: dict):
-        """The postfix program of residue e, written once per residue from an
-        explicit stack: (5, v) pushes the value v, and (2, action), (3,) and
-        (4,) apply a prefix, + and || to the top of the stack."""
-        got = progs.get(e)
-        if got is None:
-            out: list = []
-            todo = [e]
-            while todo:
-                x = todo.pop()
-                if type(x) is tuple:  # an operator, written after its operands
-                    out.append(x)
-                elif x < 0:
-                    out.append((5, -x - 1))
-                else:
-                    node = cons_list[x]
-                    if node[0] == 2:
-                        todo += ((2, node[1]), node[2])
-                    else:
-                        todo += ((node[0],), node[2], node[1])
-            progs[e] = got = tuple(out)
-        return got
-
-    def _bare_cell(self, e: int, cons_list) -> int:
+    def _bare_cell(self, e: int, cons) -> int:
         """Cell index when the residue is exactly one free cell, else -1."""
         if e < 0:
             return -1
-        node = cons_list[e]
+        node = cons[e]
         if node[0] == 2:
             if node[2] < 0:
                 return self.cell_pre[node[1]][-node[2] - 1]
@@ -686,46 +684,36 @@ class _LayeredSearch:
             return table[x][y]
         return -1
 
-    def _arm(self, frame, lid, rid, is_goal, cons_list, progs, queue) -> bool:
+    def _arm(self, frame, lid, rid, is_goal, queue) -> bool:
         """Store one residual constraint unless it is already decided.
         False means a statically violated axiom: the layer is contradictory.
         Only axiom constraints force cells: a goal instance may fail, so a
         goal constraint has no bare side and just waits on its cells."""
-        ci = len(frame.progL)
-        frame.progL.append(self._emit(lid, cons_list, progs))
-        frame.progR.append(self._emit(rid, cons_list, progs))
-        frame.bareL.append(-1 if is_goal else self._bare_cell(lid, cons_list))
-        frame.bareR.append(-1 if is_goal else self._bare_cell(rid, cons_list))
-        frame.is_goal.append(is_goal)
-        frame.state.append(self.WATCHING)
-        frame.watch.append(-1)
-        st, wcell = self._eval_constraint(frame, ci, queue)
-        if st == self.WATCHING:
-            frame.watch[ci] = wcell
-            lst = frame.watchlists.get(wcell)
-            if lst is None:
-                frame.watchlists[wcell] = [ci]
-            else:
-                lst.append(ci)
-            if is_goal:
-                frame.watching += 1
-            return True
-        for lst in (
-            frame.progL,
-            frame.progR,
-            frame.bareL,
-            frame.bareR,
-            frame.is_goal,
-            frame.state,
-            frame.watch,
-        ):
-            lst.pop()
+        if is_goal:
+            sides = (lid, rid, -1, -1)
+        else:
+            sides = (lid, rid, self._bare_cell(lid, frame.cons), self._bare_cell(rid, frame.cons))
+        st, wcell = self._eval_constraint(frame, sides, queue)
         if st == self.HOLDS:
             return True
-        if is_goal:
+        if st == self.VIOLATED:
+            if not is_goal:
+                return False
             frame.static_violated += 1
             return True
-        return False
+        ci = len(frame.sides)
+        frame.sides.append(sides)
+        frame.is_goal.append(is_goal)
+        frame.state.append(self.WATCHING)
+        frame.watch.append(wcell)
+        lst = frame.watchlists.get(wcell)
+        if lst is None:
+            frame.watchlists[wcell] = [ci]
+        else:
+            lst.append(ci)
+        if is_goal:
+            frame.watching += 1
+        return True
 
     def _ground(self, layer: int):
         """Ground this layer's equations against the tables fixed so far,
@@ -735,14 +723,12 @@ class _LayeredSearch:
         self.frames.append(frame)
         if layer == self.goal_layer:
             self.goal_frame = frame
-        cons: dict = {}
-        cons_list: list = []
-        progs: dict = {}
+        residue_id: dict = {}  # row of frame.cons -> its index
         cache: dict = {}
         seen = set()
         entry_cells: list = []
         touched: list = []
-        self.trail.append((entry_cells, touched, self.dyn_cur))
+        self.trail.append((entry_cells, touched, [], self.dyn_cur))
         dead = False
         for plan in self.layer_eqs[layer]:
             comp_sets = []
@@ -760,7 +746,7 @@ class _LayeredSearch:
                 key = (plan.skey, tuple(atom_vals))
                 pair = cache.get(key)
                 if pair is None:
-                    cache[key] = pair = self._fold(plan, atom_vals, cons, cons_list)
+                    cache[key] = pair = self._fold(plan, atom_vals, residue_id, frame.cons)
                 lid, rid = pair
                 if lid == rid:
                     continue
@@ -774,7 +760,7 @@ class _LayeredSearch:
                 if ck in seen:
                     continue
                 seen.add(ck)
-                if not self._arm(frame, lid, rid, plan.is_goal, cons_list, progs, queue):
+                if not self._arm(frame, lid, rid, plan.is_goal, queue):
                     dead = True
                     break
             # Propagate between plans: a contradiction among the narrow
@@ -794,76 +780,71 @@ class _LayeredSearch:
 
     # -- propagation ---------------------------------------------------
 
-    def _exec(self, prog) -> int:
-        """Run one side of a residual constraint. Returns the value, or
-        -(cell+1) when evaluation needs the unassigned cell."""
-        plus_m, par_m, pre_m = self.plus_m, self.par_m, self.pre_m
-        stack: list = []
-        push = stack.append
-        for op in prog:
-            tag = op[0]
-            if tag == 5:
-                push(op[1])
-            elif tag == 3:
-                y = stack.pop()
-                x = stack[-1]
-                v = plus_m[x][y]
+    def _value(self, frame, e: int) -> int:
+        """The value of residue e of the frame over the current tables, or
+        -(cell+1) for the first unassigned cell its evaluation needs, left
+        operand before right. One walk over the residue's DAG from an
+        explicit stack, which skips every residue whose value is known. A
+        value learned here is kept in frame.known and listed on the current
+        trail level, and `_undo` drops it with that level: every cell it
+        read was written at that level or an earlier one, so it holds for as
+        long as it is kept."""
+        if e < 0:
+            return -e - 1
+        known = frame.known
+        v = known.get(e, e)
+        if v < 0:
+            return -v - 1
+        cons = frame.cons
+        learned = self.trail[-1][2]
+        todo = [e]
+        while todo:
+            x = todo[-1]
+            tag, p, q = cons[x]
+            if tag != 2 and p >= 0:
+                p = known.get(p, p)
+                if p >= 0:
+                    todo.append(p)
+                    continue
+            if q >= 0:
+                q = known.get(q, q)
+                if q >= 0:
+                    todo.append(q)
+                    continue
+            q = -q - 1
+            if tag == 2:
+                v = self.pre_m[p][q]
                 if v is None:
-                    return -self.cell_plus[x][y] - 1
-                stack[-1] = v
-            elif tag == 4:
-                y = stack.pop()
-                x = stack[-1]
-                v = par_m[x][y]
-                if v is None:
-                    return -self.cell_par[x][y] - 1
-                stack[-1] = v
+                    return -self.cell_pre[p][q] - 1
             else:
-                x = stack[-1]
-                v = pre_m[op[1]][x]
+                p = -p - 1
+                v = (self.plus_m if tag == 3 else self.par_m)[p][q]
                 if v is None:
-                    return -self.cell_pre[op[1]][x] - 1
-                stack[-1] = v
-        return stack[0]
+                    return -(self.cell_plus if tag == 3 else self.cell_par)[p][q] - 1
+            known[x] = -v - 1
+            learned.append(x)
+            todo.pop()
+        return v
 
-    def _eval_constraint(self, frame, ci: int, queue: list):
-        """Evaluate one constraint; queues a forced assignment when one side
-        is ground and the other is a single free cell. Single-cell sides are
-        read straight off the value array."""
-        val = self.val
-        bl = frame.bareL[ci]
-        if bl >= 0:
-            v = val[bl]
-            rl = -bl - 1 if v is None else v
-        else:
-            rl = self._exec(frame.progL[ci])
-        if rl >= 0:
-            br = frame.bareR[ci]
-            if br >= 0:
-                rr = val[br]
-                if rr is None:
-                    queue.append((br, rl))
-                    return self.WATCHING, br
-            else:
-                rr = self._exec(frame.progR[ci])
-                if rr < 0:
-                    cell = -rr - 1
-                    return self.WATCHING, cell
-            return (self.HOLDS if rl == rr else self.VIOLATED), -1
-        cell = -rl - 1
-        if bl == cell:
-            br = frame.bareR[ci]
-            if br >= 0:
-                rr = val[br]
-                if rr is None:
-                    return self.WATCHING, br
-            else:
-                rr = self._exec(frame.progR[ci])
-                if rr < 0:
-                    return self.WATCHING, -rr - 1
-            queue.append((cell, rr))
-            return self.WATCHING, cell
-        return self.WATCHING, cell
+    def _eval_constraint(self, frame, sides: tuple, queue: list):
+        """Evaluate one constraint: (HOLDS or VIOLATED, -1), or (WATCHING,
+        the cell to wait on). When one side is a value and the other is
+        exactly the free cell it waits on, queues that cell's forced value.
+        The right side is not read while the left one waits on a cell of its
+        own."""
+        lid, rid, bare_l, bare_r = sides
+        rl = self._value(frame, lid)
+        if rl < 0 and bare_l != -rl - 1:
+            return self.WATCHING, -rl - 1
+        rr = self._value(frame, rid)
+        if rr < 0:
+            if rl >= 0 and bare_r == -rr - 1:
+                queue.append((-rr - 1, rl))
+            return self.WATCHING, -rr - 1
+        if rl < 0:
+            queue.append((-rl - 1, rr))
+            return self.WATCHING, -rl - 1
+        return (self.HOLDS if rl == rr else self.VIOLATED), -1
 
     def _propagate(self, queue: list, entry_cells: list, touched: list) -> bool:
         """Write queued cells and re-run their watchers until the queue is
@@ -890,7 +871,7 @@ class _LayeredSearch:
                     continue
                 done.add(ci)
                 old_state = frame.state[ci]
-                st, wcell = self._eval_constraint(frame, ci, queue)
+                st, wcell = self._eval_constraint(frame, frame.sides[ci], queue)
                 goal = frame.is_goal[ci]
                 if goal:
                     if old_state == W:
@@ -930,13 +911,17 @@ class _LayeredSearch:
     def _assign_entry(self, cell: int, v: int) -> bool:
         entry_cells: list = []
         touched: list = []
-        self.trail.append((entry_cells, touched, self.dyn_cur))
+        self.trail.append((entry_cells, touched, [], self.dyn_cur))
         if not self._propagate([(cell, v)], entry_cells, touched):
             return False
         return self._goal_alive()
 
     def _undo(self):
-        entry_cells, touched, prev_dyn = self.trail.pop()
+        entry_cells, touched, learned, prev_dyn = self.trail.pop()
+        # a level learns values only in the frame that is newest while it lasts
+        known = self.frames[-1].known
+        for x in learned:
+            del known[x]
         W, V = self.WATCHING, self.VIOLATED
         for frame, ci, old_state, cell in reversed(touched):
             st = frame.state[ci]

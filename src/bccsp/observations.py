@@ -17,8 +17,6 @@ do not depend on it.
 
 from __future__ import annotations
 
-import json
-
 from .semantics import TransitionMode, initials, multi_derivatives, successors, traces, transitions
 from .terms import Alphabet, Term, cached
 
@@ -30,7 +28,6 @@ __all__ = [
     "ready_traces",
     "possible_futures",
     "observation_set",
-    "observations_json",
 ]
 
 OBSERVATION_KINDS = ("F", "R", "FT", "RT", "PF")
@@ -112,15 +109,3 @@ def observation_set(t: Term, kind: str, alphabet=None, mode=TransitionMode.INTER
         return possible_futures(t, alphabet, mode)
     raise ValueError(f"unknown observation kind {kind!r}")
 
-
-def _encode(x):
-    if isinstance(x, frozenset):
-        return sorted(_encode(y) for y in x)
-    if isinstance(x, tuple):
-        return [_encode(y) for y in x]
-    return x
-
-
-def observations_json(kind: str, obs) -> str:
-    """Canonical JSON for an observation set: nested sets become sorted lists."""
-    return json.dumps({"kind": kind, "observations": sorted(_encode(o) for o in obs)}, indent=2)

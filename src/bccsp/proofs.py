@@ -46,11 +46,11 @@ from .terms import (
     Sum,
     Term,
     Var,
+    _show,
     cached,
     children,
     postorder,
     render,
-    size,
     substitute,
     subterm_at,
     sum_leaves,
@@ -123,16 +123,6 @@ class Rejected:
 
 def _subst_map(pairs) -> dict:
     return {n: t for n, t in pairs}
-
-
-_SHOWN_SIZE = 60  # largest term an error message writes out
-
-
-def _show(t: Term) -> str:
-    """t's text for an error message, or its size when the text would be
-    too long: a term's tree can be exponentially larger than its DAG."""
-    n = size(t)
-    return render(t) if n <= _SHOWN_SIZE else f"<term of size {n}>"
 
 
 def _step_conclusion(step: Step, conclusions, system: AxiomSystem) -> tuple:

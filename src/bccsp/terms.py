@@ -43,8 +43,6 @@ __all__ = [
     "is_nil_term",
     "strip_nil",
     "subterm_at",
-    "vars_at_distance",
-    "all_terms",
 ]
 
 _pool: "weakref.WeakValueDictionary[tuple, Term]" = weakref.WeakValueDictionary()
@@ -60,7 +58,7 @@ class Term:
         return self._cache
 
     def __repr__(self) -> str:
-        return render(self)
+        return _show(self)
 
     # Identity equality and hash, inherited from object: hash-consing makes
     # structural equality coincide with identity.
@@ -452,6 +450,16 @@ def _render(t: Term) -> str:
     raise TypeError(f"not a term: {t!r}")
 
 
+_SHOWN_SIZE = 60  # largest term a message or report writes out
+
+
+def _show(t: Term) -> str:
+    """t's text for a message or a report, or its size when the text would
+    be too long: a term's tree can be exponentially larger than its DAG."""
+    n = size(t)
+    return render(t) if n <= _SHOWN_SIZE else f"<term of size {n}>"
+
+
 # ---------------------------------------------------------------------------
 # Metrics
 
@@ -658,50 +666,3 @@ def subterm_at(t: Term, path) -> Term:
             raise IndexError("path descends below a leaf")
     return t
 
-
-def vars_at_distance(t: Term, k: int, alphabet=None, mode=None) -> frozenset:
-    """Variables occurring in some derivative reachable in exactly k steps."""
-    from . import semantics
-
-    if mode is None:
-        mode = semantics.TransitionMode.INTERLEAVING
-    frontier = {t}
-    for _ in range(k):
-        step = set()
-        for u in frontier:
-            for _a, v in semantics.transitions(u, mode=mode, alphabet=alphabet):
-                step.add(v)
-        frontier = step
-        if not frontier:
-            break
-    out = frozenset()
-    for u in frontier:
-        out |= free_vars(u)
-    return out
-
-
-def all_terms(alphabet, max_size: int, variables=()) -> tuple:
-    """Every term of size at most max_size over the alphabet's transition
-    labels and the given variable names, ordered by size then rendering.
-
-    Size counts every operator occurrence including 0, so the smallest terms
-    have size 1. Interning guarantees the result has no structural repeats.
-    """
-    labels = alphabet.transition_labels() if alphabet.sync_mode else alphabet.actions
-    by_size: list = [[] for _ in range(max_size + 1)]
-    if max_size >= 1:
-        by_size[1].append(Nil())
-        by_size[1].extend(Var(v) for v in variables)
-    for s in range(2, max_size + 1):
-        layer = by_size[s]
-        for body in by_size[s - 1]:
-            layer.extend(Prefix(a, body) for a in labels)
-        for ls in range(1, s - 1):
-            for left in by_size[ls]:
-                for right in by_size[s - 1 - ls]:
-                    layer.append(Sum(left, right))
-                    layer.append(Par(left, right))
-    out = []
-    for s in range(1, max_size + 1):
-        out.extend(sorted(by_size[s], key=render))
-    return tuple(out)

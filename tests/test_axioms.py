@@ -7,14 +7,13 @@ from bccsp.axioms import (
     build_system,
     canonical_system_name,
     check_sound,
-    finer_or_equal,
-    is_saturated,
-    minimal_obligations,
     saturate,
 )
 from bccsp.equivalences import NotRefuted, Refuted
 from bccsp.semantics import TransitionMode
 from bccsp.terms import Nil, Par, Prefix, Sum, Var, make_alphabet, render
+
+from conftest import is_saturated
 
 A = make_alphabet(("a", "b"))
 S1 = make_alphabet(("a",), sync=True)
@@ -158,33 +157,6 @@ def test_build_system_input_validation():
         build_system("E_RS", A, TransitionMode.CCS_SYNC)
     with pytest.raises(ValueError):
         build_system("E9", A)
-
-
-def test_finer_or_equal():
-    assert finer_or_equal("B", "T")
-    assert finer_or_equal("RS", "CT")
-    assert finer_or_equal("PF", "F")
-    assert finer_or_equal("CS", "S")
-    assert finer_or_equal("F", "F")
-    assert not finer_or_equal("T", "CT")
-    assert not finer_or_equal("S", "CT")
-    assert not finer_or_equal("CS", "F")
-
-
-def test_minimal_obligations_picks_the_finest_host():
-    obs = minimal_obligations([build_system("E_S", A), build_system("E_CS", A)])
-    per_id = {}
-    for eq, rel in obs:
-        per_id.setdefault(eq.id, []).append(rel)
-    assert per_id["A0"] == ["CS"]
-    assert per_id["S[a]"] == ["S"]
-    assert per_id["CS[a,a]"] == ["CS"]
-
-
-def test_minimal_obligations_keeps_incomparable_hosts():
-    obs = minimal_obligations([build_system("E_F", A), build_system("E_CS", A)])
-    rels = sorted(rel for eq, rel in obs if eq.id == "A0")
-    assert rels == ["CS", "F"]
 
 
 def test_check_sound_distinguishes_relations():

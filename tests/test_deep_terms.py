@@ -5,6 +5,7 @@ frames, so an analysis that recurses once per level of a 1,000-level term,
 or once per step of a 300-step derivation, fails here with RecursionError.
 """
 
+import ast
 import inspect
 import sys
 from pathlib import Path
@@ -14,11 +15,12 @@ import pytest
 from bccsp.axioms import Equation, build_system
 from bccsp.eliminate import par_free
 from bccsp.equivalences import equivalent
-from bccsp.models import fixture_model, search_model
+from bccsp.models import fixture_model, independence_report, search_model
 from bccsp.proofs import canon
 from bccsp.semantics import initials
 from bccsp.terms import (
     Nil,
+    Par,
     Prefix,
     Sum,
     Var,
@@ -88,6 +90,24 @@ def test_finite_models_of_a_deep_goal(shallow_stack):
     assert (res.status, res.carrier) == ("found", 2)
 
 
+def test_search_against_a_goal_of_shared_subterms(shallow_stack):
+    # t_0 = a.x and t_(k+1) = t_k || t_k: t_200 has 201 distinct nodes but
+    # 3 * 2^200 - 1 as a tree, so neither the search nor its report may
+    # read it as a tree
+    t = Prefix("a", Var("x"))
+    for _ in range(200):
+        t = Par(t, t)
+    goal = Equation("shared", t, Var("x"))
+    e0 = build_system("E0", A)
+    res = search_model(A, 3, e0, goal)
+    assert (res.status, res.nodes) == ("found", 11)
+    report = independence_report(res.model, e0, goal)
+    assert report["independent"]
+    shown = f"<term of size {3 * 2**200 - 1}>"
+    assert (report["goal"]["lhs"], report["goal"]["rhs"]) == (shown, "x")
+    assert repr(t) == shown
+
+
 def test_only_terms_touches_the_node_caches():
     # every per-node result goes through terms.cached, so no other module
     # may keep a memo of its own on the nodes
@@ -100,3 +120,67 @@ def test_only_terms_touches_the_node_caches():
         if ".cache()" in line or "._cache" in line
     ]
     assert offenders == []
+
+
+def _self_calling(source: str, module: str) -> set:
+    """Qualified names (module.outer.inner) of the functions in the source
+    that call themselves by name, or as self.name / cls.name in a method."""
+    found = set()
+
+    def calls_itself(fn) -> bool:
+        todo = list(fn.body)
+        while todo:
+            n = todo.pop()
+            if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef, ast.Lambda)):
+                continue  # a nested scope's calls are its own
+            if isinstance(n, ast.Call):
+                f = n.func
+                if isinstance(f, ast.Name) and f.id == fn.name:
+                    return True
+                if (
+                    isinstance(f, ast.Attribute)
+                    and f.attr == fn.name
+                    and isinstance(f.value, ast.Name)
+                    and f.value.id in ("self", "cls")
+                ):
+                    return True
+            todo.extend(ast.iter_child_nodes(n))
+        return False
+
+    todo = [(ast.parse(source), module)]
+    while todo:
+        node, name = todo.pop()
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                qual = f"{name}.{child.name}"
+                if not isinstance(child, ast.ClassDef) and calls_itself(child):
+                    found.add(qual)
+                todo.append((child, qual))
+            else:
+                todo.append((child, name))
+    return found
+
+
+def test_recursion_is_pinned():
+    """The functions in src/bccsp that call themselves directly, pinned so
+    that a new one fails here: recursion costs a call frame per level, which
+    deep terms do not leave. The check sees only direct self-calls, not
+    mutual recursion through other functions."""
+    sample = (
+        "def f(n):\n    def g():\n        return g()\n    return f(n - 1)\n"
+        "class C:\n    def h(self):\n        return self.h()\n"
+    )
+    assert _self_calling(sample, "m") == {"m.f", "m.f.g", "m.C.h"}
+    src = Path(__file__).resolve().parent.parent / "src" / "bccsp"
+    found = set().union(*(_self_calling(p.read_text(), p.stem) for p in src.glob("*.py")))
+    assert not any(name.startswith("models.") for name in found)
+    assert found <= {
+        "derivations._derive_absorb",
+        "derivations._derive_merge",
+        "equivalences.bisimilar.bis",
+        "equivalences.nested_sim_preorder.nsim",
+        "equivalences.nested_trace_eq.ntr",
+        "equivalences.refute_open.walk",
+        "equivalences.simulation_preorder.sim",
+        "terms.substitute.go",
+    }

@@ -20,9 +20,9 @@ from bccsp.equivalences import (
     spectrum_vector,
 )
 from bccsp.semantics import TransitionMode
-from bccsp.terms import Var, all_terms, make_alphabet, parse, substitute
+from bccsp.terms import Var, make_alphabet, parse, substitute
 
-from conftest import closed_terms
+from conftest import all_terms, closed_terms
 
 A = make_alphabet(("a", "b"))
 A3 = make_alphabet(("a", "b", "c"))

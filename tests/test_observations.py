@@ -1,5 +1,3 @@
-import json
-
 import pytest
 
 from bccsp.observations import (
@@ -7,7 +5,6 @@ from bccsp.observations import (
     failure_pairs,
     failure_traces,
     observation_set,
-    observations_json,
     possible_futures,
     ready_pairs,
     ready_traces,
@@ -100,11 +97,3 @@ def test_observation_set_dispatch():
         assert obs
     with pytest.raises(ValueError):
         observation_set(t, "Z", A)
-
-
-def test_observations_json_is_canonical():
-    t = parse("a.b + a.0", A)
-    doc = json.loads(observations_json("R", ready_pairs(t)))
-    assert doc["kind"] == "R"
-    assert doc["observations"] == sorted(doc["observations"])
-    assert [[], ["a"]] in doc["observations"]

@@ -8,7 +8,6 @@ from bccsp.terms import (
     Prefix,
     Sum,
     Var,
-    all_terms,
     depth,
     free_vars,
     is_nil_term,
@@ -22,10 +21,9 @@ from bccsp.terms import (
     subterm_at,
     sum_of,
     summands,
-    vars_at_distance,
 )
 
-from conftest import closed_terms, open_terms
+from conftest import all_terms, closed_terms, open_terms
 
 A = make_alphabet(("a", "b"))
 A3 = make_alphabet(("a", "b", "c"))
@@ -152,14 +150,6 @@ def test_subterm_at():
     assert subterm_at(t, ()) is t
     with pytest.raises(IndexError):
         subterm_at(t, (2,))
-
-
-def test_vars_at_distance():
-    t = parse("a.x + b.b.y", A)
-    assert vars_at_distance(t, 0, A) == {"x", "y"}
-    assert vars_at_distance(t, 1, A) == {"x", "y"}
-    assert vars_at_distance(t, 2, A) == {"y"}
-    assert vars_at_distance(t, 3, A) == frozenset()
 
 
 def test_all_terms_counts():
