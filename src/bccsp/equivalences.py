@@ -7,17 +7,25 @@ which coincides with RS), and bisimilarity (B). On top of these sit the two
 indexed hierarchies of nested trace and nested simulation equivalences.
 
 All checkers work on the finite acyclic transition systems the term syntax
-generates, by memoized recursion on derivative pairs. Pair memos live in
-module-level tables that `clear_pair_caches` resets; `refute_open` does this
-per equation so long sweeps do not accumulate entries for throwaway terms.
+generates, with no module state and no call frame per node or pair: B by a
+class per node through `terms.cached`, the others by pair rules run by
+`terms.cached_pair`, which keeps each verdict on the younger node of its pair.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 from . import observations
-from .semantics import TransitionMode, _mode_key, initials, multi_derivatives, transitions
+from .semantics import (
+    TransitionMode,
+    _mode_key,
+    initials,
+    multi_derivatives,
+    successors,
+    transitions,
+)
 from .terms import (
     Alphabet,
     Nil,
@@ -26,9 +34,11 @@ from .terms import (
     Term,
     _show,
     cached,
+    cached_pair,
     depth,
     free_vars,
     substitute,
+    sum_of,
 )
 
 __all__ = [
@@ -50,24 +60,14 @@ __all__ = [
     "Refuted",
     "NotRefuted",
     "refute_open",
-    "clear_pair_caches",
 ]
 
 FLAT_RELATIONS = ("T", "CT", "F", "R", "FT", "RT", "PF", "S", "CS", "RS", "FS", "B")
 
-_DECORATED = {"T", "CT", "F", "R", "FT", "RT", "PF"}
-_SIM_FLAVOURS = {"S", "CS", "RS", "FS"}
+_DECORATED = frozenset(("T", "CT", "F", "R", "FT", "RT", "PF"))
+_SIM_FLAVOURS = frozenset(("S", "CS", "RS", "FS"))
 
-_sim_memo: dict = {}
-_bisim_memo: dict = {}
-_ntr_memo: dict = {}
-_nsim_memo: dict = {}
-_PAIR_CACHES = (_sim_memo, _bisim_memo, _ntr_memo, _nsim_memo)
-
-
-def clear_pair_caches() -> None:
-    for c in _PAIR_CACHES:
-        c.clear()
+_PAIR_CACHES = ()  # no pair memos; bench/layers.py, its only reader, gauges 0
 
 
 def parse_relation(rel):
@@ -114,38 +114,45 @@ def decorated_eq(p, q, rel, alphabet=None, mode=TransitionMode.INTERLEAVING) -> 
 # Simulations and bisimilarity
 
 
+def _sim_rule(key, s, t, mode, alphabet):
+    """The pair rule of the simulations: is s simulated by t? Under a key
+    (flavour, mode key) the flavour's condition holds at the pair; under
+    ("NS", k, mode key) the reverse pair is (k-1)-nested simulated. And every
+    move of s is matched by an equally labelled move of t to a pair related
+    under the same key, at once if the targets coincide: all are reflexive."""
+    if key[0] == "NS":
+        k = key[1]
+        if k > 1 and not (yield ("NS", k - 1, key[2]), t, s):
+            return False
+    elif key[0] != "S":
+        si = initials(s, mode, alphabet)
+        ti = initials(t, mode, alphabet)
+        if key[0] == "CS":
+            ok = bool(si) or not ti
+        elif key[0] == "RS":
+            ok = si == ti
+        else:  # FS
+            ok = ti <= si
+        if not ok:
+            return False
+    tt = transitions(t, mode, alphabet)
+    for a, s2 in transitions(s, mode, alphabet):
+        for b, t2 in tt:
+            if b == a and (t2 is s2 or (yield key, s2, t2)):
+                break
+        else:
+            return False
+    return True
+
+
 def simulation_preorder(p, q, flavour="S", mode=TransitionMode.INTERLEAVING, alphabet=None):
     """Is p simulated by q? The flavour fixes the extra condition imposed at
     every related pair: none (S), joint termination (CS), equal menus (RS),
     or refusal inclusion (FS)."""
     if flavour not in _SIM_FLAVOURS:
         raise ValueError(f"unknown simulation flavour {flavour!r}")
-    mk = _mode_key(mode, alphabet)
-
-    def sim(s, t) -> bool:
-        key = (flavour, mk, s, t)
-        got = _sim_memo.get(key)
-        if got is not None:
-            return got
-        si = initials(s, mode, alphabet)
-        ti = initials(t, mode, alphabet)
-        if flavour == "CS":
-            ok = bool(si) or not ti
-        elif flavour == "RS":
-            ok = si == ti
-        elif flavour == "FS":
-            ok = ti <= si
-        else:
-            ok = True
-        if ok:
-            for a, s2 in transitions(s, mode, alphabet):
-                if not any(sim(s2, t2) for b, t2 in transitions(t, mode, alphabet) if b == a):
-                    ok = False
-                    break
-        _sim_memo[key] = ok
-        return ok
-
-    return sim(p, q)
+    key = (flavour, _mode_key(mode, alphabet))
+    return cached_pair(key, p, q, _sim_rule, mode, alphabet)
 
 
 def sim_eq(p, q, flavour="S", mode=TransitionMode.INTERLEAVING, alphabet=None) -> bool:
@@ -154,25 +161,23 @@ def sim_eq(p, q, flavour="S", mode=TransitionMode.INTERLEAVING, alphabet=None) -
     )
 
 
+def _bisim_class(t, mode, alphabet) -> Term:
+    """The class of t under bisimilarity: the parallel-free sum of a.c over
+    the moves of t, c the class of the target, each summand once. Bisimilar
+    live nodes share one hash-consed class, so the term pool is the table."""
+    key = ("B", _mode_key(mode, alphabet))
+    return cached(t, key, _class_of, successors, mode, alphabet)
+
+
+def _class_of(t, mode, alphabet) -> Term:
+    moves = {Prefix(a, _bisim_class(u, mode, alphabet)) for a, u in transitions(t, mode, alphabet)}
+    # any fixed order of the summands will do: a summand node lives as long
+    # as a class built from it, so the same set of them always sorts the same
+    return sum_of(sorted(moves, key=id))
+
+
 def bisimilar(p, q, mode=TransitionMode.INTERLEAVING, alphabet=None) -> bool:
-    mk = _mode_key(mode, alphabet)
-
-    def bis(s, t) -> bool:
-        if s is t:
-            return True
-        key = (mk, s, t) if id(s) <= id(t) else (mk, t, s)
-        got = _bisim_memo.get(key)
-        if got is not None:
-            return got
-        st = transitions(s, mode, alphabet)
-        tt = transitions(t, mode, alphabet)
-        ok = all(
-            any(bis(s2, t2) for b, t2 in tt if b == a) for a, s2 in st
-        ) and all(any(bis(s2, t2) for a, s2 in st if a == b) for b, t2 in tt)
-        _bisim_memo[key] = ok
-        return ok
-
-    return bis(p, q)
+    return _bisim_class(p, mode, alphabet) is _bisim_class(q, mode, alphabet)
 
 
 # ---------------------------------------------------------------------------
@@ -191,36 +196,38 @@ def _group_derivatives(t, mode, alphabet):
     return {seq: frozenset(us) for seq, us in acc.items()}
 
 
+def _nt_rule(key, s, t, mode, alphabet):
+    """The pair rule of ("NT", k, mode key), k >= 1: s and t have the same
+    traces and, for k > 1, each derivative of either by a trace is (k-1)-
+    nested trace equivalent to some derivative of the other by that trace."""
+    gs = _grouped_derivatives(s, mode, alphabet)
+    gt = _grouped_derivatives(t, mode, alphabet)
+    if gs.keys() != gt.keys():
+        return False
+    k = key[1]
+    if k == 1:
+        return True
+    lower = ("NT", k - 1, key[2])
+    for seq, ss in gs.items():
+        ts = gt[seq]
+        for us, vs in ((ss, ts), (ts, ss)):
+            for u in us:
+                for v in vs:
+                    if v is u or (yield lower, u, v):
+                        break
+                else:
+                    return False
+    return True
+
+
 def nested_trace_eq(p, q, n, mode=TransitionMode.INTERLEAVING, alphabet=None) -> bool:
     """Level n of the nested trace hierarchy. Level 0 relates everything,
     level 1 is trace equivalence, level 2 possible-futures equivalence."""
     if n < 0:
         raise ValueError("level must be non-negative")
-    mk = _mode_key(mode, alphabet)
-
-    def ntr(s, t, k) -> bool:
-        if k == 0 or s is t:
-            return True
-        key = (k, mk, s, t) if id(s) <= id(t) else (k, mk, t, s)
-        got = _ntr_memo.get(key)
-        if got is not None:
-            return got
-        gs = _grouped_derivatives(s, mode, alphabet)
-        gt = _grouped_derivatives(t, mode, alphabet)
-        ok = set(gs) == set(gt)
-        if ok:
-            for seq, ss in gs.items():
-                ts = gt[seq]
-                if not all(any(ntr(s2, t2, k - 1) for t2 in ts) for s2 in ss):
-                    ok = False
-                    break
-                if not all(any(ntr(t2, s2, k - 1) for s2 in ss) for t2 in ts):
-                    ok = False
-                    break
-        _ntr_memo[key] = ok
-        return ok
-
-    return ntr(p, q, n)
+    if n == 0 or p is q:
+        return True
+    return cached_pair(("NT", n, _mode_key(mode, alphabet)), p, q, _nt_rule, mode, alphabet)
 
 
 def nested_sim_preorder(p, q, n, mode=TransitionMode.INTERLEAVING, alphabet=None) -> bool:
@@ -228,27 +235,9 @@ def nested_sim_preorder(p, q, n, mode=TransitionMode.INTERLEAVING, alphabet=None
     simulated by q. Level 0 relates everything, level 1 is plain simulation."""
     if n < 0:
         raise ValueError("level must be non-negative")
-    mk = _mode_key(mode, alphabet)
-
-    def nsim(s, t, k) -> bool:
-        if k == 0:
-            return True
-        key = (k, mk, s, t)
-        got = _nsim_memo.get(key)
-        if got is not None:
-            return got
-        # A k-nested simulation is a simulation whose inverse is contained in
-        # the (k-1)-nested simulation preorder.
-        ok = nsim(t, s, k - 1)
-        if ok:
-            for a, s2 in transitions(s, mode, alphabet):
-                if not any(nsim(s2, t2, k) for b, t2 in transitions(t, mode, alphabet) if b == a):
-                    ok = False
-                    break
-        _nsim_memo[key] = ok
-        return ok
-
-    return nsim(p, q, n)
+    if n == 0:
+        return True
+    return cached_pair(("NS", n, _mode_key(mode, alphabet)), p, q, _sim_rule, mode, alphabet)
 
 
 def nested_sim_eq(p, q, n, mode=TransitionMode.INTERLEAVING, alphabet=None) -> bool:
@@ -366,11 +355,7 @@ def default_substitution_scheme(alphabet: Alphabet) -> SubstitutionScheme:
     pa = Prefix(a1, nil)
     pb = Prefix(a2, nil)
     pool = [nil, pa, pb, Prefix(a1, pa), Sum(pa, pb), Prefix(a2, Sum(pa, pb))]
-    seen = []
-    for t in pool:
-        if t not in seen:
-            seen.append(t)
-    return SubstitutionScheme(tuple(seen))
+    return SubstitutionScheme(tuple(dict.fromkeys(pool)))
 
 
 @dataclass(frozen=True)
@@ -414,14 +399,7 @@ def refute_open(
     rel = parse_relation(rel)
     if scheme is None:
         scheme = default_substitution_scheme(alphabet)
-    clear_pair_caches()
     names = sorted(free_vars(t) | free_vars(u))
-    if not names:
-        checked = 1
-        if equivalent(t, u, rel, alphabet, mode):
-            return NotRefuted(checked)
-        return Refuted({}, checked)
-
     tag_base = 1 + max(depth(t), depth(u))
     pools = []
     for i, _ in enumerate(names):
@@ -432,33 +410,20 @@ def refute_open(
                 cands.append(tag)
         pools.append(tuple(cands))
 
-    checked = 0
-    # One variable is substituted per level, so instances sharing a prefix of
+    # The instances in candidate-pool order, the last variable varying
+    # fastest. sides[i] holds t and u with the first i variables substituted
+    # and stays while those choices do, so instances sharing a prefix of
     # choices share the partially instantiated terms.
-    stack_t = [t]
-    stack_u = [u]
-    choice = [0] * len(names)
-
-    def walk(i):
-        nonlocal checked
-        if i == len(names):
-            checked += 1
-            if not equivalent(stack_t[-1], stack_u[-1], rel, alphabet, mode):
-                return {names[j]: pools[j][choice[j]] for j in range(len(names))}
-            return None
-        for ci, cand in enumerate(pools[i]):
-            choice[i] = ci
-            m = {names[i]: cand}
-            stack_t.append(substitute(stack_t[-1], m))
-            stack_u.append(substitute(stack_u[-1], m))
-            hit = walk(i + 1)
-            stack_t.pop()
-            stack_u.pop()
-            if hit is not None:
-                return hit
-        return None
-
-    hit = walk(0)
-    if hit is None:
-        return NotRefuted(checked)
-    return Refuted(hit, checked)
+    sides, last, checked = [(t, u)], (), 0
+    for cands in itertools.product(*pools):
+        i = 0
+        while i < len(last) and cands[i] is last[i]:
+            i += 1
+        del sides[i + 1 :]
+        for j in range(i, len(names)):
+            sides.append(tuple(substitute(side, {names[j]: cands[j]}) for side in sides[j]))
+        last = cands
+        checked += 1
+        if not equivalent(*sides[-1], rel, alphabet, mode):
+            return Refuted(dict(zip(names, cands)), checked)
+    return NotRefuted(checked)

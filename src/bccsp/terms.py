@@ -7,11 +7,14 @@ rendered text, transition sets, observation sets, normal forms) is cached
 on the node itself and dies with it, and every one goes through `cached`:
 a miss fills the entries of the node's missing successors from an explicit
 stack, successors first, so a deep term or a long derivation costs heap,
-not Python call frames.
+not Python call frames. A verdict on a pair of nodes goes through the pair
+form `cached_pair` and lives on the younger node, the one interned later,
+so no node holds alive a node interned after it.
 """
 
 from __future__ import annotations
 
+import itertools
 import weakref
 from dataclasses import dataclass
 
@@ -31,6 +34,7 @@ __all__ = [
     "operands",
     "postorder",
     "cached",
+    "cached_pair",
     "size",
     "depth",
     "norm",
@@ -46,12 +50,13 @@ __all__ = [
 ]
 
 _pool: "weakref.WeakValueDictionary[tuple, Term]" = weakref.WeakValueDictionary()
+_serials = itertools.count()
 
 
 class Term:
     """Base class. Do not instantiate directly."""
 
-    __slots__ = ("__weakref__", "_cache")
+    __slots__ = ("__weakref__", "_cache", "_serial")
 
     def cache(self) -> dict:
         """The node's per-node results by key; `cached` fills it."""
@@ -70,6 +75,7 @@ def _intern(cls, key, init):
         return t
     t = object.__new__(cls)
     object.__setattr__(t, "_cache", {})
+    object.__setattr__(t, "_serial", next(_serials))
     init(t)
     # setdefault keeps the first instance if two threads race here
     return _pool.setdefault(key, t)
@@ -204,6 +210,35 @@ def cached(t: Term, key, compute, succ, *args):
                     u._cache[key] = compute(u, *args)
     got = c[key] = compute(t, *args)
     return got
+
+
+def cached_pair(key, s: Term, t: Term, rule, *args):
+    """The verdict under key on the ordered pair (s, t): looked up, or else
+    decided by the generator rule(key, s, t, *args), which yields each
+    (key2, u, v) whose verdict it needs, is sent it, and returns its own,
+    never None. Needs must be well founded. Waiting rules sit on an explicit
+    stack, and a verdict is stored on the younger node of its pair, keyed by
+    key, the older node and the direction."""
+    stack, need, sent = [], (key, s, t), None
+    while True:
+        if need is not None:
+            rel, u, v = need
+            if u._serial > v._serial:
+                c, k = u._cache, (rel, v, False)
+            else:
+                c, k = v._cache, (rel, u, True)
+            sent = c.get(k)
+            if sent is None:
+                stack.append((c, k, rule(*need, *args)))
+        if not stack:
+            return sent
+        c, k, gen = stack[-1]
+        try:
+            need = gen.send(sent)
+        except StopIteration as done:
+            stack.pop()
+            sent = c[k] = done.value
+            need = None
 
 
 # ---------------------------------------------------------------------------

@@ -61,6 +61,11 @@ def test_deep_prefix_chains_parse_and_compare(capsys):
     assert capsys.readouterr().out.strip() == "CT: not equivalent"
 
 
+def test_bisimilarity_of_deep_prefix_chains(capsys):
+    assert main(["equiv", "B", "a." * 400 + "0", "a." * 400 + "b"]) == 1
+    assert capsys.readouterr().out.strip() == "B: not equivalent"
+
+
 def test_equiv_takes_nested_relations_by_name(capsys):
     assert main(["equiv", "NS2", "a.(a + b)", "a.a + a.b"]) == 1
     assert capsys.readouterr().out.strip() == "NS2: not equivalent"

@@ -1,6 +1,10 @@
+import gc
+import weakref
+
 import pytest
 from hypothesis import given, settings
 
+from bccsp import equivalences
 from bccsp.axioms import build_system
 from bccsp.equivalences import (
     FLAT_RELATIONS,
@@ -20,7 +24,7 @@ from bccsp.equivalences import (
     spectrum_vector,
 )
 from bccsp.semantics import TransitionMode
-from bccsp.terms import Var, make_alphabet, parse, substitute
+from bccsp.terms import Nil, Prefix, Sum, Var, make_alphabet, parse, substitute
 
 from conftest import all_terms, closed_terms
 
@@ -133,6 +137,31 @@ def test_sync_mode_expansion_is_bisimilar():
     rhs = parse("a.a' + a'.a + tau.0", S)
     assert bisimilar(lhs, rhs, TransitionMode.CCS_SYNC, S)
     assert not bisimilar(lhs, rhs)  # without sync the silent summand is extra
+
+
+@pytest.mark.parametrize("rel", ["S", "RS", "NS2"])
+def test_a_comparison_does_not_pin_the_younger_term(rel):
+    # a verdict lives on the younger node of its pair, so comparing a
+    # throwaway term with a long-lived one leaves nothing holding it alive
+    held = parse("a.0", A)
+    fresh = Prefix("a", Nil())
+    for action in "ab" * 20:
+        fresh = Sum(Prefix(action, fresh), Prefix("b", Nil()))
+    assert not equivalent(held, fresh, rel, A)
+    assert not equivalent(fresh, held, rel, A)
+    ref = weakref.ref(fresh)
+    del fresh
+    gc.collect()
+    assert ref() is None
+
+
+def test_equivalences_keeps_no_module_level_tables():
+    tables = [
+        name
+        for name, value in vars(equivalences).items()
+        if not name.startswith("__") and isinstance(value, (dict, list, set))
+    ]
+    assert tables == []
 
 
 def test_refute_open_closed_terms():
