@@ -142,13 +142,17 @@ def test_sync_mode_expansion_is_bisimilar():
 @pytest.mark.parametrize("rel", ["S", "RS", "NS2"])
 def test_a_comparison_does_not_pin_the_younger_term(rel):
     # a verdict lives on the younger node of its pair, so comparing a
-    # throwaway term with a long-lived one leaves nothing holding it alive
+    # throwaway term with a long-lived one neither keeps it alive nor
+    # leaves entries on the long-lived one
     held = parse("a.0", A)
+    assert equivalent(held, held, rel, A)
+    entries = len(held.cache())
     fresh = Prefix("a", Nil())
     for action in "ab" * 20:
         fresh = Sum(Prefix(action, fresh), Prefix("b", Nil()))
     assert not equivalent(held, fresh, rel, A)
     assert not equivalent(fresh, held, rel, A)
+    assert len(held.cache()) == entries
     ref = weakref.ref(fresh)
     del fresh
     gc.collect()
