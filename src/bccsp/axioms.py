@@ -39,7 +39,6 @@ __all__ = [
     "Equation",
     "AxiomSystem",
     "SYSTEM_NAMES",
-    "system_names",
     "canonical_system_name",
     "build_system",
     "check_sound",
@@ -421,10 +420,6 @@ SYNC_SYSTEM_NAMES = tuple(
     f"E^c_{x}" for x in ("T", "CT", "F", "R", "FT", "RT", "S", "CS", "RS")
 )
 SYSTEM_NAMES = PLAIN_SYSTEM_NAMES + SYNC_SYSTEM_NAMES
-
-
-def system_names() -> tuple:
-    return SYSTEM_NAMES
 
 
 def canonical_system_name(name: str) -> str:

@@ -6,10 +6,12 @@ completed simulation (CS), ready simulation (RS), failure simulation (FS,
 which coincides with RS), and bisimilarity (B). On top of these sit the two
 indexed hierarchies of nested trace and nested simulation equivalences.
 
-All checkers work on the finite acyclic transition systems the term syntax
-generates, with no module state and no call frame per node or pair: B by a
-class per node through `terms.cached`, the others by pair rules run by
-`terms.cached_pair`, which keeps each verdict on the younger node of its pair.
+No checker keeps module state, spends a call frame per node or pair, or
+reads an observation set. B, the decorated-trace relations and NT_k are
+decided by a hash-consed class per node through `terms.cached`: two live
+nodes are related exactly when their classes are one node. S, CS, RS, FS
+and NS_k are pair rules run by `terms.cached_pair`, which keeps each
+verdict on the younger node of its pair.
 """
 
 from __future__ import annotations
@@ -17,21 +19,16 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from . import observations
-from .semantics import (
-    TransitionMode,
-    _mode_key,
-    initials,
-    multi_derivatives,
-    successors,
-    transitions,
-)
+from .semantics import TransitionMode, _mode_key, initials, transitions
 from .terms import (
     Alphabet,
     Nil,
+    Par,
     Prefix,
     Sum,
     Term,
+    Var,
+    _intern,
     _show,
     cached,
     cached_pair,
@@ -87,31 +84,130 @@ def parse_relation(rel):
 
 def relation_name(rel) -> str:
     rel = parse_relation(rel)
-    if isinstance(rel, tuple):
-        return f"{rel[0]}{rel[1]}"
-    return rel
+    return f"{rel[0]}{rel[1]}" if isinstance(rel, tuple) else rel
 
 
 # ---------------------------------------------------------------------------
-# Decorated-trace equivalences
+# Classes: B, the decorated-trace relations and the nested trace hierarchy
+#
+# A node stands for a set of states: a state for itself, a _Set for its
+# members. Its class sums the relation's markers of the set and a.c for each
+# action a of a member, c the class of the node for the a-derivatives; under
+# RT and FT each group x of members, by menu or by each set of labels they
+# refuse, adds x || (the sum of its a.c). B takes each move on its own. A set
+# x of labels is written as the variable named repr(sorted(x)).
+
+
+class _Set(Term):
+    """The node for a set of states: its member if it has one, else a _Set,
+    kept apart from the sum of its members."""
+
+    __slots__ = ("members",)
+
+    def __new__(cls, us):
+        if len(us) == 1:
+            return next(iter(us))
+        ms = frozenset(us)
+        return _intern(cls, ("s", ms), lambda t: object.__setattr__(t, "members", ms))
+
+
+def _members(n):
+    return n.members if isinstance(n, _Set) else (n,)
+
+
+def _moves(n, mv, mode, alphabet):
+    """The groups (x, ((a, kid), ...)) of n's members, x None for all of
+    them, and kid the node for the group's a-derivatives (B: each one)."""
+    if mv[1] == "B":
+        return ((None, transitions(n, mode, alphabet)),)
+    groups: dict = {}
+    for m in _members(n):
+        xs = (None,)
+        if mv[1] == "RT":
+            xs = (initials(m, mode, alphabet),)
+        elif mv[1] == "FT":
+            rs = [b for b in alphabet.transition_labels() if b not in initials(m, mode, alphabet)]
+            xs = [frozenset(c) for k in range(len(rs) + 1) for c in itertools.combinations(rs, k)]
+        for x in xs:
+            group = groups.setdefault(x, {})
+            for a, u in transitions(m, mode, alphabet):
+                group.setdefault(a, set()).add(u)
+    return tuple((x, tuple((a, _Set(us)) for a, us in g.items())) for x, g in groups.items())
+
+
+def _kids(n, key, mode, alphabet):
+    groups = cached(n, key[1], _moves, None, key[1], mode, alphabet)
+    return [kid for _, group in groups for _, kid in group]
+
+
+def _class(n, key, mode, alphabet) -> Term:
+    return cached(n, key, _class_of, _kids, key, mode, alphabet)
+
+
+def _class_of(n, key, mode, alphabet) -> Term:
+    """The markers: under CT whether a member is deadlocked, under R the
+    menus, under F the least menus within the alphabet, under NT_k the
+    NT_(k-1) classes of the members unless they are all one. Under FT a
+    group is left out if refusing one more label leaves its sum unchanged:
+    refusals are closed downwards, so the class stays canonical."""
+    rel, parts, sums = key[0], set(), {}
+    if rel in ("CT", "F", "R"):
+        menus = {initials(m, mode, alphabet) for m in _members(n)}
+        if rel == "CT":
+            menus &= {frozenset()}
+        elif rel == "F":
+            menus = {x.intersection(alphabet.transition_labels()) for x in menus}
+            menus = [x for x in menus if not any(y < x for y in menus)]
+        parts = {Var(repr(sorted(x))) for x in menus}
+    elif isinstance(rel, int) and isinstance(n, _Set):
+        lower = (rel - 1 if rel > 2 else "T",) + key[1:]
+        parts = {Par(Nil(), _class(m, lower, mode, alphabet)) for m in _members(n)}
+        parts = parts if len(parts) > 1 else set()
+    for x, group in cached(n, key[1], _moves, None, key[1], mode, alphabet):
+        moves = [Prefix(a, _class(kid, key, mode, alphabet)) for a, kid in group]
+        if x is None:
+            parts.update(moves)
+        else:
+            sums[x] = sum_of(sorted(moves, key=id))
+    labels = alphabet.transition_labels() if rel == "FT" else ()
+    for x, body in sums.items():
+        if all(sums.get(x | {b}) is not body for b in labels if b not in x):
+            parts.add(Par(Var(repr(sorted(x))), body))
+    return sum_of(sorted(parts, key=id))
+
+
+def _same_class(p, q, rel, mode, alphabet) -> bool:
+    """Whether p and q share a class under rel: B, T to RT, or NT_k, k >= 2."""
+    if rel in ("F", "FT") and alphabet is None:
+        raise ValueError("refusal sets need an alphabet")
+    fam = rel if rel in ("B", "RT", "FT") else None
+    mv = ("mv", fam, _mode_key(mode, alphabet), alphabet if fam == "FT" else None)
+    key = (rel, mv, alphabet if rel in ("F", "FT") else None)
+    return p is q or _class(p, key, mode, alphabet) is _class(q, key, mode, alphabet)
 
 
 def decorated_eq(p, q, rel, alphabet=None, mode=TransitionMode.INTERLEAVING) -> bool:
-    from .semantics import completed_traces, traces
+    if rel not in _DECORATED:
+        raise ValueError(f"not a decorated-trace relation: {rel!r}")
+    return _same_class(p, q, 2 if rel == "PF" else rel, mode, alphabet)
 
-    if rel == "T":
-        return traces(p, mode, alphabet) == traces(q, mode, alphabet)
-    if rel == "CT":
-        return completed_traces(p, mode, alphabet) == completed_traces(q, mode, alphabet)
-    if rel in _DECORATED:
-        return observations.observation_set(p, rel, alphabet, mode) == observations.observation_set(
-            q, rel, alphabet, mode
-        )
-    raise ValueError(f"not a decorated-trace relation: {rel!r}")
+
+def bisimilar(p, q, mode=TransitionMode.INTERLEAVING, alphabet=None) -> bool:
+    return _same_class(p, q, "B", mode, alphabet)
+
+
+def nested_trace_eq(p, q, n, mode=TransitionMode.INTERLEAVING, alphabet=None) -> bool:
+    """Level n of the nested trace hierarchy. Level 0 relates everything,
+    level 1 is trace equivalence, level 2 possible-futures equivalence."""
+    if n < 0:
+        raise ValueError("level must be non-negative")
+    if n == 0 or p is q:
+        return True
+    return _same_class(p, q, "T" if n == 1 else n, mode, alphabet)
 
 
 # ---------------------------------------------------------------------------
-# Simulations and bisimilarity
+# Simulations and nested simulations
 
 
 def _sim_rule(key, s, t, mode, alphabet):
@@ -161,75 +257,6 @@ def sim_eq(p, q, flavour="S", mode=TransitionMode.INTERLEAVING, alphabet=None) -
     )
 
 
-def _bisim_class(t, mode, alphabet) -> Term:
-    """The class of t under bisimilarity: the parallel-free sum of a.c over
-    the moves of t, c the class of the target, each summand once. Bisimilar
-    live nodes share one hash-consed class, so the term pool is the table."""
-    key = ("B", _mode_key(mode, alphabet))
-    return cached(t, key, _class_of, successors, mode, alphabet)
-
-
-def _class_of(t, mode, alphabet) -> Term:
-    moves = {Prefix(a, _bisim_class(u, mode, alphabet)) for a, u in transitions(t, mode, alphabet)}
-    # any fixed order of the summands will do: a summand node lives as long
-    # as a class built from it, so the same set of them always sorts the same
-    return sum_of(sorted(moves, key=id))
-
-
-def bisimilar(p, q, mode=TransitionMode.INTERLEAVING, alphabet=None) -> bool:
-    return _bisim_class(p, mode, alphabet) is _bisim_class(q, mode, alphabet)
-
-
-# ---------------------------------------------------------------------------
-# Nested hierarchies
-
-
-def _grouped_derivatives(t, mode, alphabet):
-    key = ("mdg", _mode_key(mode, alphabet))
-    return cached(t, key, _group_derivatives, None, mode, alphabet)
-
-
-def _group_derivatives(t, mode, alphabet):
-    acc: dict = {}
-    for seq, u in multi_derivatives(t, mode, alphabet):
-        acc.setdefault(seq, set()).add(u)
-    return {seq: frozenset(us) for seq, us in acc.items()}
-
-
-def _nt_rule(key, s, t, mode, alphabet):
-    """The pair rule of ("NT", k, mode key), k >= 1: s and t have the same
-    traces and, for k > 1, each derivative of either by a trace is (k-1)-
-    nested trace equivalent to some derivative of the other by that trace."""
-    gs = _grouped_derivatives(s, mode, alphabet)
-    gt = _grouped_derivatives(t, mode, alphabet)
-    if gs.keys() != gt.keys():
-        return False
-    k = key[1]
-    if k == 1:
-        return True
-    lower = ("NT", k - 1, key[2])
-    for seq, ss in gs.items():
-        ts = gt[seq]
-        for us, vs in ((ss, ts), (ts, ss)):
-            for u in us:
-                for v in vs:
-                    if v is u or (yield lower, u, v):
-                        break
-                else:
-                    return False
-    return True
-
-
-def nested_trace_eq(p, q, n, mode=TransitionMode.INTERLEAVING, alphabet=None) -> bool:
-    """Level n of the nested trace hierarchy. Level 0 relates everything,
-    level 1 is trace equivalence, level 2 possible-futures equivalence."""
-    if n < 0:
-        raise ValueError("level must be non-negative")
-    if n == 0 or p is q:
-        return True
-    return cached_pair(("NT", n, _mode_key(mode, alphabet)), p, q, _nt_rule, mode, alphabet)
-
-
 def nested_sim_preorder(p, q, n, mode=TransitionMode.INTERLEAVING, alphabet=None) -> bool:
     """Level n of the nested simulation hierarchy: whether p is n-nested
     simulated by q. Level 0 relates everything, level 1 is plain simulation."""
@@ -272,55 +299,34 @@ class SpectrumError(AssertionError):
     """An implication between relations failed; this indicates a checker bug."""
 
 
+# (finer, coarser): each relation implies the next on finite processes
+_SPECTRUM_EDGES = (
+    ("RS", "RT"), ("RT", "FT"), ("RT", "R"), ("FT", "F"), ("R", "F"), ("F", "CT"),
+    ("CT", "T"), ("RS", "CS"), ("CS", "S"), ("CS", "CT"), ("S", "T"), ("PF", "R"),
+    ("B", "RS"), ("B", "PF"),
+)
+
+
 def _spectrum_edges(nested_max: int):
-    edges = [
-        ("RS", "RT"),
-        ("RT", "FT"),
-        ("RT", "R"),
-        ("FT", "F"),
-        ("R", "F"),
-        ("F", "CT"),
-        ("CT", "T"),
-        ("RS", "CS"),
-        ("CS", "S"),
-        ("CS", "CT"),
-        ("S", "T"),
-        ("PF", "R"),
-    ]
-    for k in range(1, nested_max):
-        edges.append((f"NS{k + 1}", f"NS{k}"))
-        edges.append((f"NT{k + 1}", f"NT{k}"))
+    edges = list(_SPECTRUM_EDGES)
     for k in range(1, nested_max + 1):
-        edges.append(("B", f"NS{k}"))
-        edges.append(("B", f"NT{k}"))
-    edges.append(("B", "RS"))
-    edges.append(("B", "PF"))
+        edges += [("B", f"NS{k}"), ("B", f"NT{k}")]
+        if k > 1:
+            edges += [(f"NS{k}", f"NS{k - 1}"), (f"NT{k}", f"NT{k - 1}")]
     if nested_max >= 2:
-        edges.append(("NS2", "RS"))
-        edges.append(("NS2", "PF"))
+        edges += [("NS2", "RS"), ("NS2", "PF")]
     return edges
-
-
-def _spectrum_coincidences(nested_max: int):
-    pairs = []
-    if nested_max >= 1:
-        pairs.extend((("NT1", "T"), ("NS1", "S")))
-    if nested_max >= 2:
-        pairs.append(("NT2", "PF"))
-    return pairs
 
 
 def spectrum_vector(p, q, alphabet=None, mode=TransitionMode.INTERLEAVING, nested_max=2) -> dict:
     """Evaluate every relation on the pair and cross-check the lattice: each
-    implication arrow must hold in the results, and the nested levels that
-    coincide with flat relations must agree with them."""
+    implication arrow must hold in the results, and NS1 must agree with S.
+    (NT1 and NT2 are decided as T and PF.)"""
     if free_vars(p) or free_vars(q):
         raise ValueError("spectrum vectors are for closed terms")
     if nested_max < 1:
         raise ValueError("nested_max must be at least 1")
-    vec = {}
-    for rel in ("T", "CT", "F", "R", "FT", "RT", "PF", "S", "CS", "RS", "B"):
-        vec[rel] = equivalent(p, q, rel, alphabet, mode)
+    vec = {rel: equivalent(p, q, rel, alphabet, mode) for rel in FLAT_RELATIONS if rel != "FS"}
     for k in range(1, nested_max + 1):
         vec[f"NT{k}"] = nested_trace_eq(p, q, k, mode, alphabet)
         vec[f"NS{k}"] = nested_sim_eq(p, q, k, mode, alphabet)
@@ -329,9 +335,8 @@ def spectrum_vector(p, q, alphabet=None, mode=TransitionMode.INTERLEAVING, neste
             raise SpectrumError(
                 f"{fine} holds but {coarse} fails on {_show(p)} vs {_show(q)}"
             )
-    for x, y in _spectrum_coincidences(nested_max):
-        if vec[x] != vec[y]:
-            raise SpectrumError(f"{x} and {y} disagree on {_show(p)} vs {_show(q)}")
+    if vec["NS1"] != vec["S"]:
+        raise SpectrumError(f"NS1 and S disagree on {_show(p)} vs {_show(q)}")
     return vec
 
 

@@ -1,6 +1,7 @@
-"""Observation sets for the decorated-trace semantics.
-
-Each function maps a term to the set of observations of one shape:
+"""Observation sets of the decorated-trace semantics, for output: no
+relation is decided from them (`equivalences` compares a class per node),
+and they grow with the number of paths of a term. Each function maps a term
+to the set of observations of one shape:
 
 - failure pairs: (trace, refused set)
 - ready pairs: (trace, exact menu after the trace)

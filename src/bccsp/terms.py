@@ -49,8 +49,9 @@ __all__ = [
     "subterm_at",
 ]
 
-_pool: "weakref.WeakValueDictionary[tuple, Term]" = weakref.WeakValueDictionary()
+_pool: "dict[tuple, weakref.KeyedRef]" = {}  # live nodes by shape, as weak references
 _serials = itertools.count()
+_SELF = object()  # the cache entry of a node that is its own result
 
 
 class Term:
@@ -70,15 +71,21 @@ class Term:
 
 
 def _intern(cls, key, init):
-    t = _pool.get(key)
+    ref = _pool.get(key)
+    t = None if ref is None else ref()
     if t is not None:
         return t
     t = object.__new__(cls)
     object.__setattr__(t, "_cache", {})
     object.__setattr__(t, "_serial", next(_serials))
     init(t)
-    # setdefault keeps the first instance if two threads race here
-    return _pool.setdefault(key, t)
+    _pool[key] = weakref.KeyedRef(t, _unpool, key)
+    return t
+
+
+def _unpool(ref, pool=_pool):
+    if pool.get(ref.key) is ref:
+        del pool[ref.key]
 
 
 class Nil(Term):
@@ -189,26 +196,23 @@ def cached(t: Term, key, compute, succ, *args):
     reads none. On a miss the missing entries below t are filled first, each
     node after its successors, from an explicit stack, so any depth of term
     or derivation costs a constant number of call frames. compute never
-    returns None, which marks a miss.
-    """
-    c = t._cache
-    got = c.get(key)
+    returns None, which marks a miss. An entry that is its node is stored
+    as _SELF, so no node in normal form closes a reference cycle."""
+    got = t._cache.get(key)
     if got is not None:
-        return got
+        return t if got is _SELF else got
     kids = () if succ is None else succ(t, *args)
-    if kids:
-        path = [(t, iter(kids))]
-        while path:
-            u, todo = path[-1]
-            for v in todo:
-                if key not in v._cache:
-                    path.append((v, iter(succ(v, *args))))
-                    break
-            else:
-                path.pop()
-                if path:
-                    u._cache[key] = compute(u, *args)
-    got = c[key] = compute(t, *args)
+    path = [(t, iter(kids))]
+    while path:
+        u, todo = path[-1]
+        for v in todo:
+            if key not in v._cache:
+                path.append((v, iter(succ(v, *args))))
+                break
+        else:
+            path.pop()
+            got = compute(u, *args)
+            u._cache[key] = _SELF if got is u else got
     return got
 
 
@@ -565,31 +569,25 @@ def _actions_of(t: Term) -> frozenset:
 
 def substitute(t: Term, mapping: dict) -> Term:
     """Simultaneously replace variables by terms. Keys are variable names."""
-    if not mapping:
-        return t
-    keys = frozenset(mapping)
-    memo = {}
+    return _substitute(t, mapping, frozenset(mapping), {})
 
-    def go(u: Term) -> Term:
-        if not (free_vars(u) & keys):
-            return u
-        r = memo.get(u)
-        if r is not None:
-            return r
-        if isinstance(u, Var):
-            r = mapping[u.name]
-            if not isinstance(r, Term):
-                raise TypeError("substitution values must be Terms")
-        elif isinstance(u, Prefix):
-            r = Prefix(u.action, go(u.body))
-        elif isinstance(u, Sum):
-            r = Sum(go(u.left), go(u.right))
-        else:
-            r = Par(go(u.left), go(u.right))
-        memo[u] = r
+
+def _substitute(u: Term, mapping: dict, keys: frozenset, memo: dict) -> Term:
+    if not (free_vars(u) & keys):
+        return u
+    r = memo.get(u)
+    if r is not None:
         return r
-
-    return go(t)
+    if isinstance(u, Var):
+        r = mapping[u.name]
+        if not isinstance(r, Term):
+            raise TypeError("substitution values must be Terms")
+    elif isinstance(u, Prefix):
+        r = Prefix(u.action, _substitute(u.body, mapping, keys, memo))
+    else:
+        r = type(u)(_substitute(u.left, mapping, keys, memo), _substitute(u.right, mapping, keys, memo))
+    memo[u] = r
+    return r
 
 
 # ---------------------------------------------------------------------------

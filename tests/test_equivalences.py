@@ -1,4 +1,5 @@
 import gc
+import random
 import weakref
 
 import pytest
@@ -11,6 +12,7 @@ from bccsp.equivalences import (
     NotRefuted,
     Refuted,
     SpectrumError,
+    SubstitutionScheme,
     bisimilar,
     default_substitution_scheme,
     equivalent,
@@ -23,8 +25,9 @@ from bccsp.equivalences import (
     simulation_preorder,
     spectrum_vector,
 )
-from bccsp.semantics import TransitionMode
-from bccsp.terms import Nil, Prefix, Sum, Var, make_alphabet, parse, substitute
+from bccsp.observations import observation_set
+from bccsp.semantics import TransitionMode, completed_traces, multi_derivatives, traces
+from bccsp.terms import Nil, Par, Prefix, Sum, Term, Var, make_alphabet, parse, substitute
 
 from conftest import all_terms, closed_terms
 
@@ -168,6 +171,28 @@ def test_equivalences_keeps_no_module_level_tables():
     assert tables == []
 
 
+def test_a_soundness_sweep_leaves_no_term_to_the_cyclic_collector():
+    # node caches close no reference cycle, so every throwaway instance and
+    # class of a sweep dies by reference count
+    sync = make_alphabet(("a",), sync=True)
+    systems = (build_system("E_F", A), build_system("E_FT", A), build_system("E^c_R", sync))
+    gc.collect()
+    flags = gc.get_debug()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        for system in systems:
+            scheme = SubstitutionScheme((Prefix(system.alphabet.actions[0], Nil()),))
+            for eq in system:
+                out = refute_open(eq.lhs, eq.rhs, system.target_relation, system.alphabet, system.mode, scheme)
+                assert not out.refuted, eq.id
+        gc.collect()
+        terms = [x for x in gc.garbage if isinstance(x, Term)]
+    finally:
+        gc.set_debug(flags)
+        gc.garbage.clear()
+    assert terms == []
+
+
 def test_refute_open_closed_terms():
     out = refute_open(parse("a.0", A), parse("b.0", A), "T", A)
     assert isinstance(out, Refuted)
@@ -226,3 +251,117 @@ def test_bisimilarity_implies_every_flat_relation(p, q):
 def test_every_relation_is_reflexive(p):
     for rel in FLAT_RELATIONS:
         assert equivalent(p, p, rel, A)
+
+
+def _random_term(rng, labels, depth):
+    r = rng.random()
+    if depth == 0 or r < 0.15:
+        return Nil()
+    if r < 0.55:
+        return Prefix(rng.choice(labels), _random_term(rng, labels, depth - 1))
+    if r < 0.7:  # a choice between two moves by one action
+        a = rng.choice(labels)
+        return Sum(*(Prefix(a, _random_term(rng, labels, depth - 1)) for _ in "lr"))
+    kind = Sum if r < 0.85 else Par
+    return kind(_random_term(rng, labels, depth - 1), _random_term(rng, labels, depth - 1))
+
+
+def _truncated(rng, t):
+    """t with some subterms cut to 0: its traces are traces of t."""
+    if rng.random() < 0.3:
+        return Nil()
+    if isinstance(t, Prefix):
+        return Prefix(t.action, _truncated(rng, t.body))
+    if isinstance(t, (Sum, Par)):
+        return type(t)(_truncated(rng, t.left), _truncated(rng, t.right))
+    return t
+
+
+def _trace_equal_variant(rng, t):
+    """A term with the traces of t, by rewrites that keep traces: a prefix
+    distributed over a sum, sides of + and || swapped, a summand doubled,
+    a 0 summand added, a truncated copy added as a summand, a.(x + y) added
+    to a.x + a.y, or the second summands of a.(x + y) + a.(z + w) swapped."""
+    if rng.random() < 0.1:
+        return Sum(_trace_equal_variant(rng, t), _truncated(rng, t))
+    if isinstance(t, Prefix):
+        body = t.body
+        if isinstance(body, Sum) and rng.random() < 0.5:
+            return Sum(
+                _trace_equal_variant(rng, Prefix(t.action, body.left)),
+                _trace_equal_variant(rng, Prefix(t.action, body.right)),
+            )
+        return Prefix(t.action, _trace_equal_variant(rng, body))
+    if isinstance(t, Sum) and isinstance(t.left, Prefix) and isinstance(t.right, Prefix):
+        (a, x), (b, y) = (t.left.action, t.left.body), (t.right.action, t.right.body)
+        if a == b and rng.random() < 0.5:
+            if isinstance(x, Sum) and isinstance(y, Sum) and rng.random() < 0.5:
+                return Sum(Prefix(a, Sum(x.left, y.right)), Prefix(a, Sum(y.left, x.right)))
+            return Sum(t, Prefix(a, Sum(x, y)))
+    if isinstance(t, (Sum, Par)):
+        left, right = (_trace_equal_variant(rng, u) for u in (t.left, t.right))
+        if rng.random() < 0.5:
+            left, right = right, left
+        u = type(t)(left, right)
+        r = rng.random()
+        if r < 0.15:
+            return Sum(u, _trace_equal_variant(rng, t))
+        return Sum(u, Nil()) if r < 0.3 else u
+    return t
+
+
+def _nested_trace_eq_by_definition(p, q, k, mode, alphabet):
+    """NT_k as defined: the same traces and, for k > 1, every derivative of
+    either side by a trace is NT_(k-1) related to one of the other side's."""
+    if k == 1:
+        return traces(p, mode, alphabet) == traces(q, mode, alphabet)
+    gp, gq = ({}, {})
+    for g, t in ((gp, p), (gq, q)):
+        for seq, u in multi_derivatives(t, mode, alphabet):
+            g.setdefault(seq, []).append(u)
+    if gp.keys() != gq.keys():
+        return False
+    return all(
+        all(any(_nested_trace_eq_by_definition(u, v, k - 1, mode, alphabet) for v in vs) for u in us)
+        for seq in gp
+        for us, vs in ((gp[seq], gq[seq]), (gq[seq], gp[seq]))
+    )
+
+
+def _decorated_eq_by_observations(p, q, rel, alpha, mode):
+    if rel == "T":
+        return traces(p, mode, alpha) == traces(q, mode, alpha)
+    if rel == "CT":
+        return completed_traces(p, mode, alpha) == completed_traces(q, mode, alpha)
+    return observation_set(p, rel, alpha, mode) == observation_set(q, rel, alpha, mode)
+
+
+DECORATED = ("T", "CT", "F", "R", "FT", "RT", "PF")
+
+
+def test_classes_agree_with_observation_sets_on_random_pairs():
+    # the observation sets are the reference the per-node classes are checked
+    # against; half of the pairs are trace equal by construction
+    rng = random.Random(7)
+    sync = make_alphabet(("a",), sync=True)
+    modes = ((A, TransitionMode.INTERLEAVING), (sync, TransitionMode.CCS_SYNC))
+    agree = {rel: [0, 0] for rel in DECORATED + ("NT3",)}
+    patterns = set()
+    for i in range(2000):
+        alpha, mode = modes[i % 2]
+        labels = alpha.transition_labels()
+        p = _random_term(rng, labels, 3)
+        q = _trace_equal_variant(rng, p) if i % 4 < 2 else _random_term(rng, labels, 3)
+        want = [_decorated_eq_by_observations(p, q, rel, alpha, mode) for rel in DECORATED]
+        want.append(_nested_trace_eq_by_definition(p, q, 3, mode, alpha))
+        got = [equivalent(p, q, rel, alpha, mode) for rel in DECORATED]
+        got.append(nested_trace_eq(p, q, 3, mode, alpha))
+        assert got == want, (p, q)
+        for rel, verdict in zip(agree, want):
+            agree[rel][verdict] += 1
+        patterns.add(tuple(want))
+    # both verdicts occur often enough, and the relations come apart in
+    # enough ways, for the agreement to mean something
+    assert all(min(counts) >= 100 for counts in agree.values()), agree
+    assert len(patterns) >= 8, patterns
+

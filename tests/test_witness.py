@@ -88,6 +88,16 @@ def test_negative_evidence_report_sync():
         assert fam["checks"]["tau_steps_on_both_sides"] is True
 
 
+@pytest.mark.parametrize("kind", ["interleaving", "sync"])
+def test_negative_evidence_report_at_fifty(kind):
+    # PF is decided by a class per node, so the families' summand checks
+    # stay polynomial in N
+    rep = negative_evidence_report(kind, 50)
+    assert rep["all_pass"] is True
+    assert [f["n"] for f in rep["families"]] == list(range(1, 51))
+    assert all(all(fam["checks"].values()) for fam in rep["families"])
+
+
 def test_negative_evidence_report_validation():
     with pytest.raises(ValueError, match="n_max"):
         negative_evidence_report("interleaving", 0)
