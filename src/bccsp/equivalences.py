@@ -11,7 +11,9 @@ reads an observation set. B, the decorated-trace relations and NT_k are
 decided by a hash-consed class per node through `terms.cached`: two live
 nodes are related exactly when their classes are one node. S, CS, RS, FS
 and NS_k are pair rules run by `terms.cached_pair`, which keeps each
-verdict on the younger node of its pair.
+verdict on the younger node of its pair. `refute_open` holds the instances
+of one choice for the first variable, so their siblings find shared
+derivative sets and classes on the nodes; nothing outlives the call.
 """
 
 from __future__ import annotations
@@ -42,6 +44,7 @@ __all__ = [
     "FLAT_RELATIONS",
     "parse_relation",
     "relation_name",
+    "class_of",
     "decorated_eq",
     "simulation_preorder",
     "sim_eq",
@@ -176,13 +179,27 @@ def _class_of(n, key, mode, alphabet) -> Term:
     return sum_of(sorted(parts, key=id))
 
 
-def _same_class(p, q, rel, mode, alphabet) -> bool:
-    """Whether p and q share a class under rel: B, T to RT, or NT_k, k >= 2."""
+def class_of(p, rel, alphabet=None, mode=TransitionMode.INTERLEAVING) -> Term:
+    """p's class under rel: B, T to RT, PF or NT_k, k >= 1. Two live nodes
+    are rel-equivalent exactly when their classes are one node."""
+    name = relation_name(rel)
+    kind = {"PF": 2, "NT1": "T"}.get(name, int(name[2:]) if name[:2] == "NT" else name)
+    if kind == 0 or name[:2] == "NS" or name in _SIM_FLAVOURS:
+        raise ValueError(f"no class per node for {name}")
+    return _class(p, _class_key(kind, mode, alphabet), mode, alphabet)
+
+
+def _class_key(rel, mode, alphabet):
+    """The cache key of the classes under rel: B, T to RT, or k >= 2 for NT_k."""
     if rel in ("F", "FT") and alphabet is None:
         raise ValueError("refusal sets need an alphabet")
     fam = rel if rel in ("B", "RT", "FT") else None
     mv = ("mv", fam, _mode_key(mode, alphabet), alphabet if fam == "FT" else None)
-    key = (rel, mv, alphabet if rel in ("F", "FT") else None)
+    return (rel, mv, alphabet if rel in ("F", "FT") else None)
+
+
+def _same_class(p, q, rel, mode, alphabet) -> bool:
+    key = _class_key(rel, mode, alphabet)
     return p is q or _class(p, key, mode, alphabet) is _class(q, key, mode, alphabet)
 
 
@@ -367,26 +384,13 @@ def default_substitution_scheme(alphabet: Alphabet) -> SubstitutionScheme:
 class Refuted:
     substitution: dict
     checked: int
-
-    @property
-    def refuted(self) -> bool:
-        return True
+    refuted = True  # a class attribute, not a field
 
 
 @dataclass(frozen=True)
 class NotRefuted:
     checked: int
-
-    @property
-    def refuted(self) -> bool:
-        return False
-
-
-def _chain(action: str, n: int) -> Term:
-    t: Term = Nil()
-    for _ in range(n):
-        t = Prefix(action, t)
-    return t
+    refuted = False  # a class attribute, not a field
 
 
 def refute_open(
@@ -400,35 +404,39 @@ def refute_open(
     """Search the closed instances of t ~ u given by the substitution scheme
     for one that the relation distinguishes. Returns the first failing
     substitution in candidate-pool order, or NotRefuted with the number of
-    instances checked."""
+    instances checked. The instances of one choice for the first variable
+    are held until it changes, so their siblings reuse the derivative sets
+    and classes on them; nothing outlives the call."""
     rel = parse_relation(rel)
     if scheme is None:
         scheme = default_substitution_scheme(alphabet)
     names = sorted(free_vars(t) | free_vars(u))
     tag_base = 1 + max(depth(t), depth(u))
-    pools = []
+    tag, pools = Nil(), []
     for i, _ in enumerate(names):
-        cands = list(scheme.pool)
-        if scheme.deep_tags:
-            tag = _chain(alphabet.actions[0], tag_base + i)
-            if tag not in cands:
-                cands.append(tag)
-        pools.append(tuple(cands))
+        # the i-th variable's tag: the first action tag_base + i times
+        for _ in range(tag_base + i - depth(tag) if scheme.deep_tags else 0):
+            tag = Prefix(alphabet.actions[0], tag)
+        extra = (tag,) if scheme.deep_tags and tag not in scheme.pool else ()
+        pools.append(tuple(scheme.pool) + extra)
 
     # The instances in candidate-pool order, the last variable varying
     # fastest. sides[i] holds t and u with the first i variables substituted
     # and stays while those choices do, so instances sharing a prefix of
     # choices share the partially instantiated terms.
-    sides, last, checked = [(t, u)], (), 0
+    sides, last, checked, held = [(t, u)], (), 0, []
     for cands in itertools.product(*pools):
         i = 0
         while i < len(last) and cands[i] is last[i]:
             i += 1
+        if i == 0:
+            held.clear()
         del sides[i + 1 :]
         for j in range(i, len(names)):
             sides.append(tuple(substitute(side, {names[j]: cands[j]}) for side in sides[j]))
         last = cands
         checked += 1
+        held.append(sides[-1])
         if not equivalent(*sides[-1], rel, alphabet, mode):
             return Refuted(dict(zip(names, cands)), checked)
     return NotRefuted(checked)

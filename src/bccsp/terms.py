@@ -9,7 +9,9 @@ a miss fills the entries of the node's missing successors from an explicit
 stack, successors first, so a deep term or a long derivation costs heap,
 not Python call frames. A verdict on a pair of nodes goes through the pair
 form `cached_pair` and lives on the younger node, the one interned later,
-so no node holds alive a node interned after it.
+so no node holds alive a node interned after it. The pool holds nodes
+weakly, so a node and its entries live while a caller holds the node: a
+sweep that reuses entries across steps holds those nodes in a local list.
 """
 
 from __future__ import annotations
@@ -568,25 +570,38 @@ def _actions_of(t: Term) -> frozenset:
 
 
 def substitute(t: Term, mapping: dict) -> Term:
-    """Simultaneously replace variables by terms. Keys are variable names."""
-    return _substitute(t, mapping, frozenset(mapping), {})
-
-
-def _substitute(u: Term, mapping: dict, keys: frozenset, memo: dict) -> Term:
-    if not (free_vars(u) & keys):
-        return u
-    r = memo.get(u)
-    if r is not None:
-        return r
-    if isinstance(u, Var):
-        r = mapping[u.name]
-        if not isinstance(r, Term):
-            raise TypeError("substitution values must be Terms")
-    elif isinstance(u, Prefix):
-        r = Prefix(u.action, _substitute(u.body, mapping, keys, memo))
-    else:
-        r = type(u)(_substitute(u.left, mapping, keys, memo), _substitute(u.right, mapping, keys, memo))
-    memo[u] = r
+    """Simultaneously replace variables by terms. Keys are variable names.
+    Each distinct node with a replaced variable below it is rebuilt once,
+    after its children, from an explicit stack, so depth costs heap, not
+    call frames. free_vars(t) fills the entry of every node below t."""
+    keys = frozenset(mapping)
+    if keys.isdisjoint(free_vars(t)):
+        return t
+    memo, stack = {}, [t]
+    while stack:
+        u = stack.pop()
+        if u is None:  # the children of the node below are done
+            u = stack.pop()
+            if type(u) is Prefix:
+                memo[u] = Prefix(u.action, memo.get(u.body, u.body))
+            else:
+                memo[u] = type(u)(memo.get(u.left, u.left), memo.get(u.right, u.right))
+        elif type(u) is Var:
+            memo[u] = mapping[u.name]
+        elif u not in memo:
+            stack.append(u)
+            stack.append(None)
+            if type(u) is Prefix:
+                if not keys.isdisjoint(u.body._cache["fv"]):
+                    stack.append(u.body)
+            else:
+                if not keys.isdisjoint(u.right._cache["fv"]):
+                    stack.append(u.right)
+                if not keys.isdisjoint(u.left._cache["fv"]):
+                    stack.append(u.left)
+    r = memo[t]
+    if not isinstance(r, Term):  # the constructors check the values below t
+        raise TypeError("substitution values must be Terms")
     return r
 
 

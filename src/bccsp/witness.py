@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .axioms import AxiomSystem, Equation, build_system
-from .equivalences import bisimilar, equivalent
+from .equivalences import bisimilar, class_of, equivalent
 from .proofs import ProofScript, replay_conclusions
 from .semantics import TransitionMode, build_lts
 from .terms import (
@@ -92,14 +92,6 @@ def _canon_kind(kind: str) -> str:
     raise ValueError(f"unknown witness kind {kind!r}")
 
 
-def _tower(head: str, i: int, a: str) -> Term:
-    """head^i applied to a.0: the i = 0 case is a.0 itself."""
-    t: Term = Prefix(a, Nil())
-    for _ in range(i):
-        t = Prefix(head, t)
-    return t
-
-
 def make_family(kind: str, n: int, alphabet: Alphabet | None = None) -> WitnessFamily:
     """Build the N-th family member.
 
@@ -128,15 +120,17 @@ def make_family(kind: str, n: int, alphabet: Alphabet | None = None) -> WitnessF
                 "action this construction does not exist"
             )
         a, head = alphabet.actions[0], alphabet.actions[1]
-    towers = [_tower(head, i, a) for i in range(1, n + 1)]
-    p = towers[0]
-    for t in towers[1:]:
-        p = Sum(p, t)
     a0 = Prefix(a, Nil())
+    towers = [a0]  # towers[i] is head^i applied to a.0
+    for _ in range(n):
+        towers.append(Prefix(head, towers[-1]))
+    p = towers[1]
+    for t in towers[2:]:
+        p = Sum(p, t)
     lhs = Par(a0, p)
     rhs: Term = Prefix(a, p)
     for i in range(1, n + 1):
-        rhs = Sum(rhs, Prefix(head, Par(a0, _tower(head, i - 1, a))))
+        rhs = Sum(rhs, Prefix(head, Par(a0, towers[i - 1])))
     eid = f"e_{n}" if kind == KIND_INTERLEAVING else f"ec_{n}"
     return WitnessFamily(kind, n, alphabet, p, Equation(eid, lhs, rhs))
 
@@ -170,15 +164,11 @@ def _family_checks(fam: WitnessFamily) -> dict:
         "depth_of_lhs_is_n_plus_2": depth(lhs) == fam.n + 2,
     }
     # The sum p_N must decompose into exactly N pairwise inequivalent
-    # single-exit towers; this is the summand structure the underivability
-    # argument leans on.
+    # single-exit towers, that is N summands with N distinct PF classes;
+    # this is the summand structure the underivability argument leans on.
     parts = summands(fam.p)
-    distinct = len(parts) == fam.n and all(
-        not equivalent(parts[i], parts[j], "PF", alphabet=alpha, mode=mode)
-        for i in range(len(parts))
-        for j in range(i + 1, len(parts))
-    )
-    checks["p_summands_pairwise_distinct"] = distinct
+    classes = {class_of(s, "PF", alpha, mode) for s in parts}
+    checks["p_summands_pairwise_distinct"] = len(parts) == len(classes) == fam.n
     if fam.kind == KIND_SYNC:
         tau = alpha.tau
         checks["tau_steps_on_both_sides"] = all(
@@ -202,9 +192,10 @@ def negative_evidence_report(
         raise ValueError("n_max must be at least 1")
     first = make_family(kind, 1, alphabet)
     alpha = first.alphabet
-    families = []
+    families, held = [], []  # held: every family, whose classes later families share
     for n in range(1, n_max + 1):
         fam = first if n == 1 else make_family(kind, n, alpha)
+        held.append(fam)
         checks = _family_checks(fam)
         for name, ok in checks.items():
             if not ok:

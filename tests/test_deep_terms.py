@@ -14,7 +14,7 @@ import pytest
 
 from bccsp.axioms import Equation, build_system
 from bccsp.eliminate import par_free
-from bccsp.equivalences import equivalent
+from bccsp.equivalences import SubstitutionScheme, equivalent, refute_open
 from bccsp.models import fixture_model, independence_report, search_model
 from bccsp.proofs import canon
 from bccsp.semantics import initials
@@ -29,6 +29,7 @@ from bccsp.terms import (
     is_nil_term,
     make_alphabet,
     strip_nil,
+    substitute,
     sum_of,
     summands,
 )
@@ -71,6 +72,23 @@ def test_analyses_of_a_long_sum(shallow_stack):
     assert canon(Sum(t, t)) is sum_of(leaves[::-1])
     assert initials(sum_of([A0, B0] * 500)) == {"a", "b"}
     assert is_nil_term(sum_of([NIL] * 1000))
+
+
+def test_substitution_into_a_deep_chain(shallow_stack):
+    t = chain(2000, Sum(Var("x"), Prefix("b", Var("y"))))
+    assert substitute(t, {"x": A0, "y": NIL}) is chain(2000, Sum(A0, B0))
+    assert substitute(t, {"x": Var("y")}) is chain(2000, Sum(Var("y"), Prefix("b", Var("y"))))
+    assert substitute(t, {"z": A0}) is t
+    assert substitute(Var("x"), {"x": A0}) is A0
+
+
+def test_refuting_equations_over_a_deep_chain(shallow_stack):
+    scheme = SubstitutionScheme((A0,))
+    x, y = Var("x"), Var("y")
+    out = refute_open(chain(2000, Sum(x, y)), chain(2000, Sum(y, x)), "B", A, scheme=scheme)
+    assert (out.refuted, out.checked) == (False, 4)
+    out = refute_open(chain(2000, Prefix("a", x)), chain(2000, x), "T", A, scheme=scheme)
+    assert (out.refuted, out.substitution, out.checked) == (True, {"x": A0}, 1)
 
 
 @pytest.mark.parametrize("rel", ["T", "CT", "F", "R", "FT", "RT", "PF"])
@@ -183,5 +201,4 @@ def test_recursion_is_pinned():
     assert found <= {
         "derivations._derive_absorb",
         "derivations._derive_merge",
-        "terms._substitute",
     }

@@ -1,4 +1,5 @@
 import gc
+import itertools
 import random
 import weakref
 
@@ -14,6 +15,7 @@ from bccsp.equivalences import (
     SpectrumError,
     SubstitutionScheme,
     bisimilar,
+    class_of,
     default_substitution_scheme,
     equivalent,
     nested_sim_eq,
@@ -27,7 +29,7 @@ from bccsp.equivalences import (
 )
 from bccsp.observations import observation_set
 from bccsp.semantics import TransitionMode, completed_traces, multi_derivatives, traces
-from bccsp.terms import Nil, Par, Prefix, Sum, Term, Var, make_alphabet, parse, substitute
+from bccsp.terms import Nil, Par, Prefix, Sum, Term, Var, depth, free_vars, make_alphabet, parse, substitute
 
 from conftest import all_terms, closed_terms
 
@@ -191,6 +193,78 @@ def test_a_soundness_sweep_leaves_no_term_to_the_cyclic_collector():
         gc.set_debug(flags)
         gc.garbage.clear()
     assert terms == []
+
+
+def test_refute_open_holds_the_instances_of_one_first_choice_only(monkeypatch):
+    # reference counting alone frees what a sweep held: the instances of a
+    # first choice die when that choice changes, and the rest with the call
+    seen, alive, real = [], [], equivalences.equivalent
+
+    def spy(p, q, *args):
+        alive.append([all(r() is not None for r in refs) for refs in seen])
+        seen.append((weakref.ref(p), weakref.ref(q)))
+        return real(p, q, *args)
+
+    monkeypatch.setattr(equivalences, "equivalent", spy)
+    a0, b0 = Prefix("a", Nil()), Prefix("b", Nil())
+    scheme = SubstitutionScheme((a0, b0), deep_tags=False)
+    gc.disable()
+    try:
+        out = refute_open(parse("x || y", A), parse("y || x", A), "B", A, scheme=scheme)
+        dead = [all(r() is None for r in refs) for refs in seen]
+    finally:
+        gc.enable()
+    assert (out.refuted, out.checked) == (False, 4)
+    # the instances (a0, a0), (a0, b0), (b0, a0) and (b0, b0), in this order
+    assert alive == [[], [True], [False, False], [False, False, True]]
+    assert dead == [True] * 4
+
+
+def _refute_by_plain_loop(t, u, rel, alphabet, mode, scheme):
+    """refute_open without shared prefixes or held instances: each instance
+    substituted at once from the same pools and checked on its own."""
+    names = sorted(free_vars(t) | free_vars(u))
+    tag_base = 1 + max(depth(t), depth(u))
+    pools = []
+    for i, _ in enumerate(names):
+        tag = Nil()
+        for _ in range(tag_base + i):
+            tag = Prefix(alphabet.actions[0], tag)
+        pools.append(tuple(dict.fromkeys(scheme.pool + (tag,))))
+    for checked, cands in enumerate(itertools.product(*pools), 1):
+        sigma = dict(zip(names, cands))
+        if not equivalent(substitute(t, sigma), substitute(u, sigma), rel, alphabet, mode):
+            return (True, checked, sigma)
+    return (False, checked, None)
+
+
+def test_refute_open_agrees_with_a_plain_instance_loop():
+    sync = make_alphabet(("a",), sync=True)
+    cases = [
+        (system, eq, system.target_relation)
+        for system in (build_system("E^c_RT", sync), build_system("E_CS", A))
+        for eq in system
+        if len(eq.vars) <= 4
+    ]
+    unsound = (("E_T", "T[a]", A), ("E_S", "S[a]", A), ("E_CT", "CTP[a,b]", A), ("E^c_T", "T[tau]", sync))
+    cases += [(build_system(n, alpha), build_system(n, alpha).by_id[i], "B") for n, i, alpha in unsound]
+    for system, eq, rel in cases:
+        scheme = SubstitutionScheme((Prefix(system.alphabet.actions[0], Nil()),))
+        out = refute_open(eq.lhs, eq.rhs, rel, system.alphabet, system.mode, scheme)
+        got = (out.refuted, out.checked, getattr(out, "substitution", None))
+        assert got == _refute_by_plain_loop(eq.lhs, eq.rhs, rel, system.alphabet, system.mode, scheme), eq.id
+    assert sum(rel == "B" for _, _, rel in cases) == 4
+
+
+def test_class_of_decides_what_it_names():
+    p, q = parse("a.b.0 + a.0", A), parse("a.(b.0 + 0)", A)
+    for rel in ("T", "CT", "F", "R", "FT", "RT", "PF", "B", "NT1", "NT2", ("NT", 3)):
+        assert (class_of(p, rel, A) is class_of(q, rel, A)) == equivalent(p, q, rel, A), rel
+    assert class_of(p, "PF", A) is class_of(p, "NT2", A)
+    assert class_of(p, "NT1", A) is class_of(p, "T", A)
+    for rel in ("S", "CS", "RS", "FS", "NS2", "NT0"):
+        with pytest.raises(ValueError, match="no class per node"):
+            class_of(p, rel, A)
 
 
 def test_refute_open_closed_terms():
