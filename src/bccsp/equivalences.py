@@ -31,6 +31,7 @@ from .terms import (
     Term,
     Var,
     _intern,
+    _pooled,
     _show,
     cached,
     cached_pair,
@@ -110,8 +111,12 @@ class _Set(Term):
     def __new__(cls, us):
         if len(us) == 1:
             return next(iter(us))
-        ms = frozenset(us)
-        return _intern(cls, ("s", ms), lambda t: object.__setattr__(t, "members", ms))
+        key = (cls, frozenset(us))
+        t = _pooled(key)
+        if t is None:
+            t = _intern(cls, key)
+            t.members = key[1]
+        return t
 
 
 def _members(n):

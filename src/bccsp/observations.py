@@ -14,6 +14,12 @@ sequences are encoded as odd-length tuples whose even positions hold sets.
 Refusal sets range over subsets of the transition labels of the given
 alphabet, so failure pairs and failure traces need the alphabet; the others
 do not depend on it.
+
+Every set is cached on the queried node through `terms.cached` and dies
+with it. FT and RT are built from the sets of the node's derivatives, cached
+on those too; F, R and PF from one walk over the node's derivations, in
+which all derivatives with the same menu share one tuple of refusal sets.
+No entry holds its own node, so none closes a reference cycle.
 """
 
 from __future__ import annotations
@@ -48,19 +54,29 @@ def _labels(alphabet: Alphabet) -> tuple:
 
 
 def failure_pairs(t, alphabet, mode=TransitionMode.INTERLEAVING):
+    return cached(t, ("obsF", alphabet, mode), _failure_pairs, None, mode, alphabet)
+
+
+def _failure_pairs(t, mode, alphabet):
     labels = _labels(alphabet)
+    refusals: dict = {}  # menu -> its refusal sets, one tuple for all derivatives
     out = set()
     for seq, q in multi_derivatives(t, mode, alphabet):
         menu = initials(q, mode, alphabet)
-        for x in _subsets(a for a in labels if a not in menu):
-            out.add((seq, x))
+        xs = refusals.get(menu)
+        if xs is None:
+            xs = refusals[menu] = tuple(_subsets(a for a in labels if a not in menu))
+        out.update((seq, x) for x in xs)
     return frozenset(out)
 
 
 def ready_pairs(t, alphabet=None, mode=TransitionMode.INTERLEAVING):
-    return frozenset(
-        (seq, initials(q, mode, alphabet)) for seq, q in multi_derivatives(t, mode, alphabet)
-    )
+    return cached(t, ("obsR", alphabet, mode), _ready_pairs, None, mode, alphabet)
+
+
+def _ready_pairs(t, mode, alphabet):
+    md = multi_derivatives(t, mode, alphabet)
+    return frozenset((seq, initials(q, mode, alphabet)) for seq, q in md)
 
 
 def failure_traces(t, alphabet, mode=TransitionMode.INTERLEAVING):
@@ -92,21 +108,20 @@ def _ready_traces(t, mode, alphabet):
 
 
 def possible_futures(t, alphabet=None, mode=TransitionMode.INTERLEAVING):
-    return frozenset(
-        (seq, traces(q, mode, alphabet)) for seq, q in multi_derivatives(t, mode, alphabet)
-    )
+    return cached(t, ("obsPF", alphabet, mode), _possible_futures, None, mode, alphabet)
+
+
+def _possible_futures(t, mode, alphabet):
+    md = multi_derivatives(t, mode, alphabet)
+    return frozenset((seq, traces(q, mode, alphabet)) for seq, q in md)
 
 
 def observation_set(t: Term, kind: str, alphabet=None, mode=TransitionMode.INTERLEAVING):
-    if kind == "F":
-        return failure_pairs(t, alphabet, mode)
-    if kind == "R":
-        return ready_pairs(t, alphabet, mode)
-    if kind == "FT":
-        return failure_traces(t, alphabet, mode)
-    if kind == "RT":
-        return ready_traces(t, alphabet, mode)
-    if kind == "PF":
-        return possible_futures(t, alphabet, mode)
-    raise ValueError(f"unknown observation kind {kind!r}")
+    if kind not in _SETS:
+        raise ValueError(f"unknown observation kind {kind!r}")
+    return _SETS[kind](t, alphabet, mode)
 
+
+_SETS = dict(
+    zip(OBSERVATION_KINDS, (failure_pairs, ready_pairs, failure_traces, ready_traces, possible_futures))
+)

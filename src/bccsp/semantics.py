@@ -88,8 +88,13 @@ def successors(t: Term, mode: TransitionMode, alphabet: Alphabet | None) -> list
     return [u for _, u in transitions(t, mode, alphabet)]
 
 
-def _sorted_transitions(t, mode, alphabet):
-    return sorted(transitions(t, mode, alphabet), key=lambda p: (p[0], render(p[1])))
+def _lts_moves(t, mode, alphabet) -> tuple:
+    """t's moves sorted by label and target rendering, as build_lts lists them."""
+    return cached(t, ("lts", _mode_key(mode, alphabet)), _sorted_moves, None, mode, alphabet)
+
+
+def _sorted_moves(t, mode, alphabet) -> tuple:
+    return tuple(sorted(transitions(t, mode, alphabet), key=lambda p: (p[0], render(p[1]))))
 
 
 def initials(
@@ -114,17 +119,14 @@ def multi_derivatives(
     alphabet: Alphabet | None = None,
 ) -> frozenset:
     """All pairs (sequence, derivative) with t reachable to the derivative by
-    the action sequence. Includes ((), t) itself."""
-    key = ("md", _mode_key(mode, alphabet))
-    return cached(t, key, _multi_derivatives, successors, mode, alphabet)
-
-
-def _multi_derivatives(t: Term, mode: TransitionMode, alphabet: Alphabet | None) -> frozenset:
-    acc = {((), t)}
-    for a, u in transitions(t, mode, alphabet):
-        for seq, v in multi_derivatives(u, mode, alphabet):
-            acc.add(((a,) + seq, v))
-    return frozenset(acc)
+    the action sequence. Includes ((), t) itself. Walked by trace length and
+    not cached: an entry on t holding t would close a reference cycle."""
+    level = {((), t)}
+    out = set(level)
+    while level:
+        level = {(seq + (a,), v) for seq, u in level for a, v in transitions(u, mode, alphabet)}
+        out |= level
+    return frozenset(out)
 
 
 def traces(
@@ -198,7 +200,7 @@ def build_lts(
     while frontier:
         nxt = []
         for s in frontier:
-            for a, u in _sorted_transitions(s, mode, alphabet):
+            for a, u in _lts_moves(s, mode, alphabet):
                 edges.append((s, a, u))
                 if u not in seen:
                     seen.add(u)

@@ -12,11 +12,15 @@ form `cached_pair` and lives on the younger node, the one interned later,
 so no node holds alive a node interned after it. The pool holds nodes
 weakly, so a node and its entries live while a caller holds the node: a
 sweep that reuses entries across steps holds those nodes in a local list.
+Each constructor looks its shape up in the pool first and returns a live
+node as it is; only a miss checks the arguments and makes the node. `parse`
+reads the tokens of one regular expression in one loop.
 """
 
 from __future__ import annotations
 
 import itertools
+import re
 import weakref
 from dataclasses import dataclass
 
@@ -72,17 +76,19 @@ class Term:
     # structural equality coincide with identity.
 
 
-def _intern(cls, key, init):
-    ref = _pool.get(key)
-    t = None if ref is None else ref()
-    if t is not None:
-        return t
+def _intern(cls, key):
+    """A new node of cls pooled under key, where no node lives; the caller sets its fields."""
     t = object.__new__(cls)
-    object.__setattr__(t, "_cache", {})
-    object.__setattr__(t, "_serial", next(_serials))
-    init(t)
+    t._cache = {}
+    t._serial = next(_serials)
     _pool[key] = weakref.KeyedRef(t, _unpool, key)
     return t
+
+
+def _pooled(key):
+    """The live node pooled under key, or None."""
+    ref = _pool.get(key)
+    return None if ref is None else ref()
 
 
 def _unpool(ref, pool=_pool):
@@ -96,64 +102,75 @@ class Nil(Term):
     __slots__ = ()
 
     def __new__(cls):
-        return _intern(cls, ("0",), lambda t: None)
+        ref = _pool.get((cls,))
+        t = None if ref is None else ref()
+        return _intern(cls, (cls,)) if t is None else t
 
 
 class Var(Term):
     __slots__ = ("name",)
 
     def __new__(cls, name: str):
-        if not name or not isinstance(name, str):
-            raise ValueError("variable name must be a non-empty string")
-
-        def init(t):
-            object.__setattr__(t, "name", name)
-
-        return _intern(cls, ("v", name), init)
+        key = (cls, name)
+        try:
+            ref = _pool.get(key)
+        except TypeError:  # an unhashable argument, never pooled: checked below
+            ref = None
+        t = None if ref is None else ref()
+        if t is None:
+            if not name or not isinstance(name, str):
+                raise ValueError("variable name must be a non-empty string")
+            t = _intern(cls, key)
+            t.name = name
+        return t
 
 
 class Prefix(Term):
     __slots__ = ("action", "body")
 
     def __new__(cls, action: str, body: Term):
-        if not action or not isinstance(action, str):
-            raise ValueError("action must be a non-empty string")
-        if not isinstance(body, Term):
-            raise TypeError("prefix body must be a Term")
+        key = (cls, action, body)
+        try:
+            ref = _pool.get(key)
+        except TypeError:  # an unhashable argument, never pooled: checked below
+            ref = None
+        t = None if ref is None else ref()
+        if t is None:
+            if not action or not isinstance(action, str):
+                raise ValueError("action must be a non-empty string")
+            if not isinstance(body, Term):
+                raise TypeError("prefix body must be a Term")
+            t = _intern(cls, key)
+            t.action, t.body = action, body
+        return t
 
-        def init(t):
-            object.__setattr__(t, "action", action)
-            object.__setattr__(t, "body", body)
 
-        return _intern(cls, ("p", action, body), init)
+class _Binary(Term):
+    """A sum or a parallel composition."""
 
-
-class Sum(Term):
     __slots__ = ("left", "right")
 
     def __new__(cls, left: Term, right: Term):
-        if not isinstance(left, Term) or not isinstance(right, Term):
-            raise TypeError("sum arguments must be Terms")
+        key = (cls, left, right)
+        try:
+            ref = _pool.get(key)
+        except TypeError:  # an unhashable argument, never pooled: checked below
+            ref = None
+        t = None if ref is None else ref()
+        if t is None:
+            if not isinstance(left, Term) or not isinstance(right, Term):
+                raise TypeError(f"{cls.__name__.lower()} arguments must be Terms")
+            t = _intern(cls, key)
+            t.left, t.right = left, right
+        return t
 
-        def init(t):
-            object.__setattr__(t, "left", left)
-            object.__setattr__(t, "right", right)
 
-        return _intern(cls, ("+", left, right), init)
+class Sum(_Binary):
+    __slots__ = ()
 
 
-class Par(Term):
-    __slots__ = ("left", "right")
-
-    def __new__(cls, left: Term, right: Term):
-        if not isinstance(left, Term) or not isinstance(right, Term):
-            raise TypeError("par arguments must be Terms")
-
-        def init(t):
-            object.__setattr__(t, "left", left)
-            object.__setattr__(t, "right", right)
-
-        return _intern(cls, ("|", left, right), init)
+class Par(_Binary):
+    __slots__ = ()
 
 
 def children(t: Term) -> tuple:
@@ -335,8 +352,9 @@ def make_alphabet(names, sync: bool = False) -> Alphabet:
 # ---------------------------------------------------------------------------
 # Parsing
 
-_IDENT_START = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_")
-_IDENT_CONT = _IDENT_START | set("0123456789")
+# A token after optional whitespace: an identifier with the '.' right after
+# it, if any, or '||', or any other single character.
+_TOKEN = re.compile(r"[ \t\n]*(([A-Za-z_][A-Za-z0-9_]*'*)(\.?)|\|\||[^ \t\n])")
 
 
 class ParseError(ValueError):
@@ -345,112 +363,72 @@ class ParseError(ValueError):
         self.position = position
 
 
-class _Parser:
-    def __init__(self, text: str, alphabet: Alphabet):
-        self.text = text
-        self.alphabet = alphabet
-        self.pos = 0
-
-    def error(self, message: str):
-        raise ParseError(message, self.pos)
-
-    def skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos] in " \t\n":
-            self.pos += 1
-
-    def peek(self) -> str:
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def eat(self, s: str) -> bool:
-        if self.text.startswith(s, self.pos):
-            self.pos += len(s)
-            return True
-        return False
-
-    def ident(self) -> str:
-        start = self.pos
-        if self.peek() not in _IDENT_START:
-            self.error("expected an identifier")
-        while self.peek() in _IDENT_CONT:
-            self.pos += 1
-        while self.peek() == "'":
-            self.pos += 1
-        return self.text[start : self.pos]
-
-    def parse_sum(self) -> Term:
-        """A sum of parallel compositions of prefixed items, + binding
-        loosest and both operators associating to the left. A parenthesised
-        group is read in the same loop, its enclosing group's partial sum,
-        partial composition and pending prefixes kept on an explicit stack,
-        so nesting costs heap, not call frames."""
-        groups = []  # (sum, composition, prefixes) of each enclosing group
-        total = par = None
-        while True:
-            actions, t = self.parse_item()
-            if t is None:
-                groups.append((total, par, actions))
-                total = par = None
-                continue
-            while True:
-                for a in reversed(actions):
-                    t = Prefix(a, t)
-                par = t if par is None else Par(par, t)
-                self.skip_ws()
-                if self.eat("||"):
-                    break
-                if self.peek() == "|":
-                    self.error("parallel composition is written '||'")
-                total = par if total is None else Sum(total, par)
-                par = None
-                if self.eat("+"):
-                    break
-                if not groups:
-                    return total
-                if not self.eat(")"):
-                    self.error("expected ')'")
-                t = total
-                total, par, actions = groups.pop()
-
-    def parse_item(self) -> tuple:
-        """A prefix chain and the item it ends in, as (actions, item). The
-        item is None for a parenthesised group, whose '(' is consumed. A
-        prefix chain costs a loop turn per prefix, not a call frame."""
-        actions = []
-        while True:
-            self.skip_ws()
-            c = self.peek()
-            if c == "0":
-                self.pos += 1
-                return actions, Nil()
-            if c == "(":
-                self.pos += 1
-                return actions, None
-            if c not in _IDENT_START:
-                self.error("expected a term")
-            at = self.pos
-            name = self.ident()
-            if name == "tau" and not self.alphabet.sync_mode:
-                self.pos = at
-                self.error("'tau' is only an action in sync mode")
-            if self.alphabet.has_action(name):
-                if self.eat("."):
-                    actions.append(name)
-                    continue
-                return actions, Prefix(name, Nil())  # bare action shorthand
-            if self.peek() == "." or "'" in name:
-                self.pos = at
-                self.error(f"unknown action {name!r}")
-            return actions, Var(name)
+def _fail(text: str, k: int, message: str):
+    """Raise ParseError at token k of text, or at its end if it has fewer."""
+    m = next(itertools.islice(_TOKEN.finditer(text), k, None), None)
+    raise ParseError(message, len(text) if m is None else m.start(1))
 
 
 def parse(text: str, alphabet: Alphabet) -> Term:
-    p = _Parser(text, alphabet)
-    p.skip_ws()
-    t = p.parse_sum()
-    p.skip_ws()
-    if p.pos != len(text):
-        p.error("trailing input")
-    return t
+    """The term text writes: a sum of parallel compositions of prefixed
+    items, + binding loosest and both operators associating to the left.
+    An item is 0, an action (a prefix of 0), a variable or a parenthesised
+    term. Whitespace is ' ', tab and newline, allowed between tokens but not
+    before a prefix's '.'. One loop reads the tokens; a parenthesised group
+    keeps its enclosing group's partial sum, partial composition and pending
+    prefixes on an explicit stack, so nesting costs heap, not call frames."""
+    labels, sync = alphabet.transition_labels(), alphabet.sync_mode
+    groups = []  # (sum, composition, prefixes) of each enclosing group
+    total = par = None
+    actions = []
+    item = True  # whether an item comes next, else an operator or ')'
+    tokens = _TOKEN.findall(text)
+    for k, (tok, name, dot) in enumerate(tokens):
+        if item:
+            if name:
+                if name == "tau" and not sync:
+                    _fail(text, k, "'tau' is only an action in sync mode")
+                if name in labels:
+                    if dot:
+                        actions.append(name)
+                        continue
+                    t = Prefix(name, Nil())  # bare action shorthand
+                elif dot or "'" in name:
+                    _fail(text, k, f"unknown action {name!r}")
+                else:
+                    t = Var(name)
+            elif tok == "0":
+                t = Nil()
+            elif tok == "(":
+                groups.append((total, par, actions))
+                total = par = None
+                actions = []
+                continue
+            else:
+                _fail(text, k, "expected a term")
+        elif tok == "||":
+            item = True
+            continue
+        elif tok == "+":
+            total = par if total is None else Sum(total, par)
+            par = None
+            item = True
+            continue
+        elif tok == ")" and groups:
+            t = par if total is None else Sum(total, par)
+            total, par, actions = groups.pop()
+        elif tok == "|":
+            _fail(text, k, "parallel composition is written '||'")
+        else:
+            _fail(text, k, "expected ')'" if groups else "trailing input")
+        for a in reversed(actions):
+            t = Prefix(a, t)
+        actions.clear()
+        par = t if par is None else Par(par, t)
+        item = False
+    if item or groups:
+        _fail(text, len(tokens), "expected a term" if item else "expected ')'")
+    return par if total is None else Sum(total, par)
 
 
 # ---------------------------------------------------------------------------

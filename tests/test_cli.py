@@ -61,6 +61,15 @@ def test_deep_prefix_chains_parse_and_compare(capsys):
     assert capsys.readouterr().out.strip() == "CT: not equivalent"
 
 
+def test_parse_prints_a_2000_prefix_chain_and_2000_nested_parentheses(capsys):
+    assert main(["parse", "a." * 2000 + "0"]) == 0
+    assert capsys.readouterr().out.strip() == "a." * 2000 + "0"
+    assert main(["parse", "(" * 2000 + "a || b" + ")" * 2000]) == 0
+    assert capsys.readouterr().out.strip() == "a.0 || b.0"
+    assert main(["parse", "(" * 2000 + "a" + ")" * 2001]) == 2
+    assert "trailing input (at position 4001)" in capsys.readouterr().err
+
+
 def test_bisimilarity_of_deep_prefix_chains(capsys):
     assert main(["equiv", "B", "a." * 400 + "0", "a." * 400 + "b"]) == 1
     assert capsys.readouterr().out.strip() == "B: not equivalent"

@@ -1,4 +1,5 @@
 import json
+import random
 
 import pytest
 
@@ -14,7 +15,9 @@ from bccsp.semantics import (
     traces,
     transitions,
 )
-from bccsp.terms import Nil, Par, Prefix, Var, make_alphabet, parse
+from bccsp.terms import Nil, Par, Prefix, Var, make_alphabet, parse, render
+
+from conftest import all_terms
 
 A = make_alphabet(("a", "b"))
 SYNC = TransitionMode.CCS_SYNC
@@ -134,3 +137,27 @@ def test_lts_dot_mentions_every_state():
     assert dot.startswith("digraph lts {")
     for s in lts.states:
         assert f"n{lts.states.index(s)}" in dot
+
+
+def _lts_by_definition(t, mode, alpha):
+    """States in breadth-first discovery order, each state's moves sorted
+    by label and the target's rendering."""
+    order, edges, i = [t], [], 0
+    while i < len(order):
+        s = order[i]
+        i += 1
+        for a, u in sorted(transitions(s, mode, alpha), key=lambda m: (m[0], render(m[1]))):
+            edges.append((s, a, u))
+            if u not in order:
+                order.append(u)
+    return tuple(order), tuple(edges)
+
+
+def test_build_lts_orders_states_and_moves_as_defined_on_random_terms():
+    rng = random.Random(5)
+    sync = make_alphabet(("a",), sync=True)
+    for alpha, mode in ((A, TransitionMode.INTERLEAVING), (sync, SYNC)):
+        for t in rng.sample(all_terms(alpha, 7), 500):
+            for _ in range(2):  # the second time from the cached moves
+                lts = build_lts(t, mode, alpha)
+                assert (lts.states, lts.transitions) == _lts_by_definition(t, mode, alpha)

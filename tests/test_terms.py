@@ -1,7 +1,11 @@
+import json
+from pathlib import Path
+
 import pytest
 from hypothesis import given
 
 from bccsp.terms import (
+    Alphabet,
     Nil,
     Par,
     ParseError,
@@ -33,6 +37,79 @@ def test_interning_gives_identity():
     assert Prefix("a", Nil()) is Prefix("a", Nil())
     assert Sum(Var("x"), Nil()) is Sum(Var("x"), Nil())
     assert Par(Nil(), Nil()) is not Sum(Nil(), Nil())
+
+
+@pytest.mark.parametrize(
+    "cls, args, error, message",
+    [
+        (Prefix, ("a", []), TypeError, "prefix body must be a Term"),
+        (Prefix, ("a", None), TypeError, "prefix body must be a Term"),
+        (Prefix, ("a", "0"), TypeError, "prefix body must be a Term"),
+        (Prefix, ("a", {}), TypeError, "prefix body must be a Term"),
+        (Prefix, ("", Nil()), ValueError, "action must be a non-empty string"),
+        (Prefix, (1, Nil()), ValueError, "action must be a non-empty string"),
+        (Prefix, ([], Nil()), ValueError, "action must be a non-empty string"),
+        (Prefix, (["a"], Nil()), ValueError, "action must be a non-empty string"),
+        (Prefix, (b"a", Nil()), ValueError, "action must be a non-empty string"),
+        (Prefix, ("", []), ValueError, "action must be a non-empty string"),
+        (Sum, (1, Nil()), TypeError, "sum arguments must be Terms"),
+        (Sum, (Nil(), []), TypeError, "sum arguments must be Terms"),
+        (Sum, ("a", Nil()), TypeError, "sum arguments must be Terms"),
+        (Par, (Nil(), 1), TypeError, "par arguments must be Terms"),
+        (Par, ([], Nil()), TypeError, "par arguments must be Terms"),
+        (Par, (Nil(), {}), TypeError, "par arguments must be Terms"),
+        (Var, ("",), ValueError, "variable name must be a non-empty string"),
+        (Var, (None,), ValueError, "variable name must be a non-empty string"),
+        (Var, (1,), ValueError, "variable name must be a non-empty string"),
+        (Var, ([],), ValueError, "variable name must be a non-empty string"),
+        (Var, (["x"],), ValueError, "variable name must be a non-empty string"),
+        (Var, (b"x",), ValueError, "variable name must be a non-empty string"),
+    ],
+)
+def test_constructors_reject_invalid_arguments(cls, args, error, message):
+    # unhashable arguments too: they miss the pool and reach the checks
+    with pytest.raises(error) as info:
+        cls(*args)
+    assert type(info.value) is error and str(info.value) == message
+
+
+# Texts with the node each denotes (as its rendering) or the error each
+# raises, recorded with the character-level parser that the token loop
+# replaced: the texts the test suite parses, the goals of the derivation
+# fixtures, the benchmark's spectrum pool at seed 1, 2,000 random terms
+# rendered with random whitespace where it is allowed, one random
+# single-character edit of each, and hand-picked malformed texts.
+CORPUS = json.loads((Path(__file__).parent / "data" / "parse_corpus.json").read_text())
+CORPUS_ALPHABETS = [
+    Alphabet(tuple(actions), sync, tuple(map(tuple, complements)), tau)
+    for actions, sync, complements, tau in CORPUS["alphabets"]
+]
+
+
+def test_parse_gives_the_recorded_node_on_the_corpus():
+    assert len(CORPUS["accepted"]) > 3000
+    for i, text, rendering in CORPUS["accepted"]:
+        alpha = CORPUS_ALPHABETS[i]
+        t = parse(text, alpha)
+        assert render(t) == rendering, text
+        assert parse(rendering, alpha) is t
+
+
+def test_parse_raises_the_recorded_error_on_the_corpus():
+    assert len(CORPUS["rejected"]) > 1000
+    for i, text, message, position in CORPUS["rejected"]:
+        with pytest.raises(ParseError) as info:
+            parse(text, CORPUS_ALPHABETS[i])
+        assert (str(info.value), info.value.position) == (message, position), text
+
+
+def test_parse_takes_deep_chains_and_nesting():
+    t = parse("a." * 2000 + "0", A)
+    assert depth(t) == 2000 and size(t) == 2001
+    assert parse("(" * 2000 + "a.(b" + ")" * 2001, A) is Prefix("a", Prefix("b", Nil()))
+    with pytest.raises(ParseError) as info:
+        parse("(" * 2000 + "a" + ")" * 1999, A)
+    assert info.value.position == 4000 and "expected ')'" in str(info.value)
 
 
 def test_parse_precedence():
